@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use txdpor_apps::workload::{client_program, App, MixedScenario, WorkloadConfig};
 use txdpor_history::{
     engine_for, engine_for_spec_with, engine_for_with, ConsistencyChecker, Event, EventId,
-    EventKind, History, IsolationLevel, LevelSpec, MixedEngine, TxId, VarTable, DELTA_LOG_CAPACITY,
+    EventKind, History, IsolationLevel, LevelSpec, TxId, VarTable, DELTA_LOG_CAPACITY,
 };
 use txdpor_program::{initial_history, oracle_next, Program, SchedulerStep, TxStep};
 
@@ -94,11 +94,9 @@ fn churn_wr_edges(h: &mut History, rng: &mut StdRng) {
 }
 
 /// A fleet of long-lived engines, each paired with the [`LevelSpec`] it
-/// decides: one per isolation level (memoisation disabled so every check
-/// exercises the sync-and-decide path), a memoised causal engine for the
-/// production configuration, the *mixed* engines of the given specs, and
-/// — pinning the uniform-degeneration guarantee — a [`MixedEngine`]
-/// *forced* onto the mixed code path for every uniform level.
+/// decides: two per isolation level and per given mixed spec, one with
+/// memoisation disabled (so every check exercises the sync-and-decide
+/// path) and one memoised, as in production.
 struct EngineFleet {
     engines: Vec<(Box<dyn ConsistencyChecker>, LevelSpec)>,
 }
@@ -114,13 +112,8 @@ impl EngineFleet {
                 )
             })
             .collect();
-        engines.push((
-            engine_for(IsolationLevel::CausalConsistency),
-            LevelSpec::uniform(IsolationLevel::CausalConsistency),
-        ));
         for level in IsolationLevel::ALL {
-            let spec = LevelSpec::uniform(level);
-            engines.push((Box::new(MixedEngine::new(spec.clone(), false)), spec));
+            engines.push((engine_for(level), LevelSpec::uniform(level)));
         }
         for spec in mixed_specs {
             engines.push((engine_for_spec_with(spec, false), spec.clone()));

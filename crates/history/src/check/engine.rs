@@ -1,20 +1,22 @@
-//! Stateful consistency-checking engines.
+//! The stateful consistency-checking engine.
 //!
 //! The exploration algorithms of the paper decide `h ∈ I` for a huge number
 //! of *closely related* candidate histories: `ValidWrites` retries the same
 //! trial history with every candidate writer, `Optimality` re-checks pruned
 //! prefixes, and a swap only changes a suffix of the previous candidate.
 //! The free functions in [`crate::check`] recompute everything from scratch
-//! on every call; the engines here make the hot path incremental:
+//! on every call; the engine here, [`MixedEngine`], makes the hot path
+//! incremental for every level spec:
 //!
-//! * every engine owns an **incrementally synced index** over the history
-//!   it last saw (transaction vertex tables, writers-per-variable lists,
-//!   axiom instances, word-packed reachability, the SER/SI per-transaction
-//!   view), kept current through the history's mutation-observer API — see
-//!   *Syncing from the delta log* below — so a check after one appended
-//!   event or one toggled wr edge pays delta cost, not a rebuild;
-//! * every engine owns a **result memo keyed by the rolling structural
-//!   hash** ([`History::live_hash`]): the flat-arena history maintains the
+//! * it owns **incrementally synced indexes** over the history it last
+//!   saw (transaction vertex tables, writers-per-variable lists, axiom
+//!   instances, word-packed reachability, the per-transaction view of the
+//!   commit-order search), kept current through the history's
+//!   mutation-observer API — see *Syncing from the delta log* below — so a
+//!   check after one appended event or one toggled wr edge pays delta
+//!   cost, not a rebuild;
+//! * it owns a **result memo keyed by the rolling structural hash**
+//!   ([`History::live_hash`]): the flat-arena history maintains the
 //!   128-bit key incrementally on every push/pop/set-wr, so a memo lookup
 //!   is a load instead of a walk of the history. Re-deciding a history
 //!   that is structurally equal to one seen before (e.g. the unchanged
@@ -28,7 +30,7 @@
 //! ([`History::generation`]) and a bounded chronological log of
 //! self-contained mutation records ([`History::deltas_since`], entries of
 //! type [`crate::history::HistoryDelta`]); rollbacks emit the *inverse*
-//! deltas of the operations they undo. An engine remembers the
+//! deltas of the operations they undo. Each index remembers the
 //! `(uid, generation)` it is synced to and, on the next memo miss, replays
 //! the missing window: forward deltas update the index and push an undo
 //! record (dirtied reachability rows are saved first), inverse deltas pop
@@ -59,18 +61,16 @@
 //! key bit) that grows geometrically up to [`MEMO_CAPACITY`] slots;
 //! colliding keys simply evict, so memory stays hard-bounded no matter how
 //! long the exploration runs. Scratch buffers (the one-pass saturation
-//! index of the weak engine, the failed-state tables of SER/SI) likewise
+//! index of the weak readers, the failed-state table of the search) likewise
 //! survive arbitrarily many checkpoint/rollback cycles of the histories
 //! they are fed.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::check::evidence::{self, Verdict};
-use crate::check::frontier::FrontierIndex;
+use crate::check::mixed;
 use crate::check::shared::SharedMemo;
-use crate::check::{mixed, pc, ser, si, weak};
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
 
@@ -104,7 +104,7 @@ pub struct EngineStats {
     /// Capacity (slots) of the memo table at observation time.
     pub memo_slots: u64,
     /// Memo misses served by an incremental index sync (delta replay, no
-    /// rebuild). Zero for engines without incremental state (`Trivial`).
+    /// rebuild). Zero for the uniformly `true` spec, which syncs nothing.
     pub incremental_hits: u64,
     /// Memo misses that fell back to rebuilding the engine's index from
     /// scratch.
@@ -157,11 +157,10 @@ impl EngineStats {
 /// consistency query of that worker through it, so scratch buffers and the
 /// fingerprint memo amortise across the whole exploration. The stateless
 /// entry points ([`crate::check::satisfies`],
-/// [`IsolationLevel::satisfies`], [`LevelSpec::satisfies`]) remain as thin
-/// wrappers over a fresh engine.
+/// [`IsolationLevel::satisfies`], [`LevelSpec::satisfies`]) run the same
+/// decision procedure over fresh indexes.
 pub trait ConsistencyChecker: Send {
-    /// The level specification this engine decides. Uniform for the
-    /// per-level engines; the mixed engine carries its full assignment.
+    /// The level specification this engine decides.
     fn spec(&self) -> LevelSpec;
 
     /// The single isolation level this engine decides.
@@ -225,15 +224,7 @@ pub fn engine_for(level: IsolationLevel) -> Box<dyn ConsistencyChecker> {
 /// of the stateless free functions (used by the `no-memo` benchmark
 /// configurations); scratch-buffer reuse stays on either way.
 pub fn engine_for_with(level: IsolationLevel, memoize: bool) -> Box<dyn ConsistencyChecker> {
-    match level {
-        IsolationLevel::Trivial => Box::new(TrivialEngine::default()),
-        IsolationLevel::ReadCommitted
-        | IsolationLevel::ReadAtomic
-        | IsolationLevel::CausalConsistency => Box::new(WeakEngine::new(level, memoize)),
-        IsolationLevel::Serializability => Box::new(SerEngine::new(memoize)),
-        IsolationLevel::SnapshotIsolation => Box::new(SiEngine::new(memoize)),
-        IsolationLevel::PrefixConsistency => Box::new(PcEngine::new(memoize)),
-    }
+    engine_for_spec_with(&LevelSpec::uniform(level), memoize)
 }
 
 /// Creates the engine for a level specification, with result memoisation
@@ -242,15 +233,10 @@ pub fn engine_for_spec(spec: &LevelSpec) -> Box<dyn ConsistencyChecker> {
     engine_for_spec_with(spec, true)
 }
 
-/// Creates the engine for a level specification. A *uniform* spec routes to
-/// the corresponding per-level engine ([`engine_for_with`]) so verdicts,
-/// counters and performance are bit-identical to the pre-spec stack; only
-/// genuinely mixed assignments pay for the [`MixedEngine`].
+/// Creates the engine for a level specification, choosing whether results
+/// are memoised. Uniform and mixed specs get the same [`MixedEngine`].
 pub fn engine_for_spec_with(spec: &LevelSpec, memoize: bool) -> Box<dyn ConsistencyChecker> {
-    match spec.as_uniform() {
-        Some(level) => engine_for_with(level, memoize),
-        None => Box::new(MixedEngine::new(spec.clone(), memoize)),
-    }
+    Box::new(MixedEngine::new(spec.clone(), memoize))
 }
 
 /// The shared result memo: a direct-mapped cache over 128-bit keys.
@@ -273,11 +259,9 @@ struct Memo {
     occupied: usize,
     enabled: bool,
     /// Cross-worker verdict table consulted before the private slots (and
-    /// published to on every insert), keyed by `live_hash ⊕ spec_hash` —
-    /// `shared_salt` folds the engine's spec hash into keys that do not
-    /// already carry it. `None` outside parallel exploration.
+    /// published to on every insert) under the same keys. `None` outside
+    /// parallel exploration.
     shared: Option<Arc<SharedMemo>>,
-    shared_salt: u64,
     stats: EngineStats,
 }
 
@@ -288,25 +272,18 @@ impl Memo {
             occupied: 0,
             enabled,
             shared: None,
-            shared_salt: 0,
             stats: EngineStats::default(),
         }
     }
 
-    /// Attaches a cross-worker shared memo. `salt` is XOR-folded into the
-    /// first key word before every shared lookup/publish; engines whose
-    /// private keys already fold their spec hash pass 0, the per-level
-    /// engines pass their uniform spec's hash, so shared keys are
-    /// uniformly `live_hash ⊕ spec_hash` across all engine kinds.
-    fn attach_shared(&mut self, memo: Arc<SharedMemo>, salt: u64) {
+    fn attach_shared(&mut self, memo: Arc<SharedMemo>) {
         self.shared = Some(memo);
-        self.shared_salt = salt;
     }
 
-    /// Looks up a key (normally the history's [`History::live_hash`],
-    /// optionally folded with a spec hash), returning either the memoised
-    /// verdict or the key to insert the freshly computed verdict under
-    /// (`None` when memoisation is disabled). The shared cross-worker
+    /// Looks up a key (the history's [`History::live_hash`] folded with
+    /// the spec hash), returning either the memoised verdict or the key to
+    /// insert the freshly computed verdict under (`None` when memoisation
+    /// is disabled). The shared cross-worker
     /// table, when attached, is consulted before the private slots — a
     /// sibling worker may have decided this history already.
     fn lookup(&mut self, key: (u64, u64)) -> Result<bool, Option<(u64, u64)>> {
@@ -316,7 +293,7 @@ impl Memo {
             return Err(None);
         }
         if let Some(shared) = &self.shared {
-            if let Some(v) = shared.lookup((key.0 ^ self.shared_salt, key.1)) {
+            if let Some(v) = shared.lookup(key) {
                 self.stats.memo_hits += 1;
                 self.stats.shared_memo_hits += 1;
                 return Ok(v);
@@ -336,7 +313,7 @@ impl Memo {
     fn insert(&mut self, key: Option<(u64, u64)>, verdict: bool) {
         let Some(key) = key else { return };
         if let Some(shared) = &self.shared {
-            shared.publish((key.0 ^ self.shared_salt, key.1), verdict);
+            shared.publish(key, verdict);
         }
         if self.slots.is_empty() {
             self.slots.resize(MEMO_INITIAL_SLOTS, (0, 0));
@@ -382,336 +359,10 @@ impl Memo {
     }
 }
 
-/// Engine for the trivial level `true`: every history is consistent.
-#[derive(Debug, Default)]
-pub struct TrivialEngine {
-    stats: EngineStats,
-}
-
-impl ConsistencyChecker for TrivialEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::Trivial)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::Trivial
-    }
-
-    fn check(&mut self, _h: &History) -> bool {
-        self.stats.checks += 1;
-        true
-    }
-
-    fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    fn reset(&mut self) {
-        self.stats = EngineStats::default();
-    }
-}
-
-/// Engine for the polynomial-time levels (Read Committed, Read Atomic,
-/// Causal Consistency): saturation of the forced commit-order edges with a
-/// word-packed causal-reachability matrix, plus the fingerprint memo.
-#[derive(Debug)]
-pub struct WeakEngine {
-    level: IsolationLevel,
-    memo: Memo,
-    idx: weak::WeakIndex,
-    nanos: u64,
-}
-
-impl WeakEngine {
-    /// Creates an engine for one of `{RC, RA, CC}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a level outside `{RC, RA, CC}`.
-    pub fn new(level: IsolationLevel, memoize: bool) -> Self {
-        assert!(
-            matches!(
-                level,
-                IsolationLevel::ReadCommitted
-                    | IsolationLevel::ReadAtomic
-                    | IsolationLevel::CausalConsistency
-            ),
-            "WeakEngine only handles RC/RA/CC, got {level}"
-        );
-        WeakEngine {
-            level,
-            memo: Memo::new(memoize),
-            idx: weak::WeakIndex::new(level),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for WeakEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(self.level)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        self.level
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = weak::satisfies_weak_with(h, &mut self.idx);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        s.incremental_hits = self.idx.incremental_hits;
-        s.full_rebuilds = self.idx.full_rebuilds;
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for Serializability: memoised commit-prefix search with a
-/// reusable failed-state table, plus the fingerprint memo.
-#[derive(Debug)]
-pub struct SerEngine {
-    memo: Memo,
-    idx: FrontierIndex,
-    states: HashSet<ser::StateKey>,
-    nanos: u64,
-}
-
-impl SerEngine {
-    /// Creates a Serializability engine.
-    pub fn new(memoize: bool) -> Self {
-        SerEngine {
-            memo: Memo::new(memoize),
-            idx: FrontierIndex::default(),
-            states: HashSet::new(),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for SerEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::Serializability)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::Serializability
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = ser::satisfies_ser_with(h, &mut self.idx, &mut self.states);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        s.incremental_hits = self.idx.incremental_hits;
-        s.full_rebuilds = self.idx.full_rebuilds;
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.states.clear();
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for Snapshot Isolation: memoised start/commit interval search
-/// with a reusable failed-state table, plus the fingerprint memo.
-#[derive(Debug)]
-pub struct SiEngine {
-    memo: Memo,
-    idx: FrontierIndex,
-    states: HashSet<si::StateKey>,
-    nanos: u64,
-}
-
-impl SiEngine {
-    /// Creates a Snapshot Isolation engine.
-    pub fn new(memoize: bool) -> Self {
-        SiEngine {
-            memo: Memo::new(memoize),
-            idx: FrontierIndex::default(),
-            states: HashSet::new(),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for SiEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::SnapshotIsolation)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::SnapshotIsolation
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = si::satisfies_si_with(h, &mut self.idx, &mut self.states);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        s.incremental_hits = self.idx.incremental_hits;
-        s.full_rebuilds = self.idx.full_rebuilds;
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.states.clear();
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for Prefix Consistency: the polynomial Causal Consistency
-/// prerequisite (an incrementally synced `weak::WeakIndex` — Prefix
-/// implies Causal since the commit order extends `so ∪ wr`) followed by
-/// the prefix-constrained start/commit interval search over the shared
-/// `FrontierIndex` (see [`pc`]), plus the fingerprint memo.
-#[derive(Debug)]
-pub struct PcEngine {
-    memo: Memo,
-    weak: weak::WeakIndex,
-    idx: FrontierIndex,
-    states: HashSet<pc::StateKey>,
-    nanos: u64,
-}
-
-impl PcEngine {
-    /// Creates a Prefix Consistency engine.
-    pub fn new(memoize: bool) -> Self {
-        PcEngine {
-            memo: Memo::new(memoize),
-            weak: weak::WeakIndex::new(IsolationLevel::CausalConsistency),
-            idx: FrontierIndex::default(),
-            states: HashSet::new(),
-            nanos: 0,
-        }
-    }
-}
-
-impl ConsistencyChecker for PcEngine {
-    fn spec(&self) -> LevelSpec {
-        LevelSpec::uniform(IsolationLevel::PrefixConsistency)
-    }
-
-    fn level(&self) -> IsolationLevel {
-        IsolationLevel::PrefixConsistency
-    }
-
-    fn check(&mut self, h: &History) -> bool {
-        match self.memo.lookup(h.live_hash()) {
-            Ok(v) => v,
-            Err(key) => {
-                // Only misses are timed: a hit is a single table probe,
-                // and an `Instant` pair per hit would dominate it.
-                let start = Instant::now();
-                let v = weak::satisfies_weak_with(h, &mut self.weak)
-                    && pc::satisfies_pc_with(h, &mut self.idx, &mut self.states);
-                self.memo.insert(key, v);
-                self.nanos += start.elapsed().as_nanos() as u64;
-                v
-            }
-        }
-    }
-
-    fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        let salt = self.spec().spec_hash();
-        self.memo.attach_shared(memo, salt);
-    }
-
-    fn stats(&self) -> EngineStats {
-        let mut s = self.memo.stats();
-        // Both indexes sync in lockstep from the same delta log (the
-        // frontier index only when the causal prerequisite holds);
-        // counting the max keeps the split per *check*, comparable with
-        // the single-index engines.
-        s.incremental_hits = self.weak.incremental_hits.max(self.idx.incremental_hits);
-        s.full_rebuilds = self.weak.full_rebuilds.max(self.idx.full_rebuilds);
-        s.check_nanos = self.nanos;
-        s
-    }
-
-    fn reset(&mut self) {
-        self.memo.reset();
-        self.states.clear();
-        self.weak.incremental_hits = 0;
-        self.weak.full_rebuilds = 0;
-        self.idx.incremental_hits = 0;
-        self.idx.full_rebuilds = 0;
-        self.nanos = 0;
-    }
-}
-
-/// Engine for mixed per-transaction level specifications: forced edges
-/// from the weak readers (incrementally synced `weak::WeakIndex` built
-/// with the spec) combined with the SER/SI commit-order search over the
-/// shared `FrontierIndex` (see [`mixed`]), plus the fingerprint memo.
+/// The engine for every level specification: the decision procedure of
+/// [`mixed`] over its incrementally synced indexes, plus the fingerprint
+/// memo. Which indexes a check syncs is selected from the spec alone (see
+/// [`mixed`]); a uniformly `true` spec is decided without the memo.
 ///
 /// The memo key folds [`LevelSpec::spec_hash`] into the history's rolling
 /// hash, so a verdict memoised under one spec can never be served for
@@ -722,9 +373,7 @@ pub struct MixedEngine {
     spec: LevelSpec,
     spec_hash: u64,
     memo: Memo,
-    weak: weak::WeakIndex,
-    frontier: FrontierIndex,
-    scratch: mixed::MixedScratch,
+    decider: mixed::Decider,
     /// Same-generation verdict cache `(uid, generation, verdict)`, serving
     /// re-checks whose memo entry was evicted without re-deciding.
     last: Option<(u64, u64, bool)>,
@@ -732,19 +381,14 @@ pub struct MixedEngine {
 }
 
 impl MixedEngine {
-    /// Creates an engine for an arbitrary level specification. Uniform
-    /// specs are legal (the verdict matches the per-level engine exactly —
-    /// pinned by the cross-validation suites) but served more cheaply by
-    /// [`engine_for_spec_with`], which routes them to the per-level
-    /// engines.
+    /// Creates an engine for a level specification, choosing whether
+    /// results are memoised by fingerprint.
     pub fn new(spec: LevelSpec, memoize: bool) -> Self {
         MixedEngine {
             spec_hash: spec.spec_hash(),
-            weak: weak::WeakIndex::new_spec(spec.clone()),
+            decider: mixed::Decider::new(spec.clone()),
             spec,
             memo: Memo::new(memoize),
-            frontier: FrontierIndex::default(),
-            scratch: mixed::MixedScratch::default(),
             last: None,
             nanos: 0,
         }
@@ -757,6 +401,11 @@ impl ConsistencyChecker for MixedEngine {
     }
 
     fn check(&mut self, h: &History) -> bool {
+        if self.decider.is_trivial() {
+            // Nothing to decide, so nothing to memoise or time.
+            self.memo.stats.checks += 1;
+            return true;
+        }
         let lh = h.live_hash();
         match self.memo.lookup((lh.0 ^ self.spec_hash, lh.1)) {
             Ok(v) => v,
@@ -769,16 +418,7 @@ impl ConsistencyChecker for MixedEngine {
                     // evicted): reuse the verdict without re-deciding.
                     Some((uid, gen, v)) if uid == h.uid() && gen == h.generation() => v,
                     _ => {
-                        self.weak.sync(h);
-                        if self.spec.has_strong() {
-                            self.frontier.sync(h);
-                        }
-                        let v = mixed::decide_mixed(
-                            &self.spec,
-                            &mut self.weak,
-                            &mut self.frontier,
-                            &mut self.scratch,
-                        );
+                        let v = self.decider.decide(h);
                         self.last = Some((h.uid(), h.generation(), v));
                         v
                     }
@@ -791,32 +431,30 @@ impl ConsistencyChecker for MixedEngine {
     }
 
     fn attach_shared_memo(&mut self, memo: Arc<SharedMemo>) {
-        // The private key already folds `spec_hash` (see `check`), so the
-        // shared key needs no extra salt to be `live_hash ⊕ spec_hash`.
-        self.memo.attach_shared(memo, 0);
+        // The key folds `spec_hash` (see `check`), so verdicts decided
+        // under one spec are never served for another.
+        self.memo.attach_shared(memo);
     }
 
     fn stats(&self) -> EngineStats {
         let mut s = self.memo.stats();
-        // Both indexes sync in lockstep from the same delta log (the
-        // frontier index only for strong specs); counting the max keeps
-        // the incremental/full-rebuild split per *check*, comparable with
-        // the single-index engines, instead of double-counting one sync.
-        s.incremental_hits = self
-            .weak
-            .incremental_hits
-            .max(self.frontier.incremental_hits);
-        s.full_rebuilds = self.weak.full_rebuilds.max(self.frontier.full_rebuilds);
+        let (weak, frontier) = (&self.decider.weak, &self.decider.frontier);
+        // A check syncs the weak index, the frontier index or both, from
+        // the same delta log; counting the max keeps the split per
+        // *check* instead of double-counting one sync.
+        s.incremental_hits = weak.incremental_hits.max(frontier.incremental_hits);
+        s.full_rebuilds = weak.full_rebuilds.max(frontier.full_rebuilds);
         s.check_nanos = self.nanos;
         s
     }
 
     fn reset(&mut self) {
         self.memo.reset();
-        self.weak.incremental_hits = 0;
-        self.weak.full_rebuilds = 0;
-        self.frontier.incremental_hits = 0;
-        self.frontier.full_rebuilds = 0;
+        let d = &mut self.decider;
+        d.weak.incremental_hits = 0;
+        d.weak.full_rebuilds = 0;
+        d.frontier.incremental_hits = 0;
+        d.frontier.full_rebuilds = 0;
         self.last = None;
         self.nanos = 0;
     }
@@ -919,43 +557,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only handles RC/RA/CC")]
-    fn weak_engine_rejects_strong_levels() {
-        WeakEngine::new(IsolationLevel::Serializability, true);
-    }
-
-    #[test]
-    fn mixed_engine_with_uniform_spec_matches_per_level_engines() {
-        // Forcing the mixed path with a uniform spec must reproduce the
-        // per-level engines' verdicts bit-for-bit.
-        let h = lost_update();
-        for level in IsolationLevel::ALL {
-            let mut forced = MixedEngine::new(LevelSpec::uniform(level), true);
-            assert_eq!(forced.spec(), LevelSpec::uniform(level));
-            assert_eq!(forced.level(), level);
-            assert_eq!(
-                forced.check(&h),
-                crate::check::satisfies(&h, level),
-                "forced mixed path disagrees with {level}"
-            );
-            assert!(forced.check(&History::default()));
-        }
-    }
-
-    #[test]
-    fn engine_for_spec_routes_uniform_specs_to_per_level_engines() {
-        let uniform = engine_for_spec(&LevelSpec::uniform(IsolationLevel::CausalConsistency));
-        assert_eq!(uniform.level(), IsolationLevel::CausalConsistency);
-        let spec = LevelSpec::uniform(IsolationLevel::CausalConsistency).with_override(
-            0,
-            0,
-            IsolationLevel::Serializability,
-        );
-        let mixed = engine_for_spec(&spec);
-        assert_eq!(mixed.spec(), spec);
-    }
-
-    #[test]
     #[should_panic(expected = "no single isolation level")]
     fn mixed_engine_has_no_single_level() {
         let spec = LevelSpec::uniform(IsolationLevel::CausalConsistency).with_override(
@@ -1046,7 +647,7 @@ mod tests {
         assert!(!ser.check(&h));
         assert!(rc.check(&h));
         assert_eq!(rc.stats().shared_memo_hits, 0, "RC must not see SER's key");
-        // A mixed engine with the uniform SER spec shares SER's key shape
+        // A second engine for the same spec shares SER's key
         // (`live_hash ⊕ spec_hash`), so it *does* hit SER's entry.
         let mut forced =
             MixedEngine::new(LevelSpec::uniform(IsolationLevel::Serializability), true);
@@ -1055,7 +656,7 @@ mod tests {
         assert_eq!(
             forced.stats().shared_memo_hits,
             1,
-            "uniform mixed engine shares the per-level key"
+            "same-spec engines share keys"
         );
     }
 

@@ -12,9 +12,9 @@
 //!   axioms. It is independently replay-verifiable with
 //!   [`crate::axioms::check_with_order_spec`] — see [`Witness::replays`].
 //!   Witness orders are extracted from the same machinery as the boolean
-//!   verdicts: the Kahn order of `so ∪ wr ∪ forced` for weak levels
-//!   (`WeakIndex::witness_order`), and
-//!   order-recording runs of the SER/SI/PC/mixed frontier searches.
+//!   verdicts: the Kahn order of `so ∪ wr ∪ forced` for specs without
+//!   PC/SI/SER (`WeakIndex::witness_order`), and an order-recording run of
+//!   the commit-order search otherwise (see [`crate::check::mixed`]).
 //! * On failure, a [`Violation`]: a cycle of `so`/`wr`/forced-`co` edges,
 //!   each forced edge annotated with the [`AxiomInstance`] that forced it.
 //!   The cycle is *simple* (every vertex is entered and left exactly once),
@@ -24,8 +24,8 @@
 //! `so ∪ wr` edges, commit-order edges that must hold in *every* total
 //! commit order are derived from the axiom instances until either the edge
 //! set becomes cyclic (the core) or a fixpoint is reached. For the weak
-//! levels this is exactly the forced-edge computation of the uniform
-//! checkers and therefore complete. For SER/SI/PC the premises mention
+//! levels this is exactly the forced-edge computation of the checker
+//! (`WeakIndex`) and therefore complete. For SER/SI/PC the premises mention
 //! `co`, so two sound derivation rules are used per instance
 //! `⟨t1, α⟩ ∈ wr_x ∧ t2 writes x ∧ φ(t2, α) ⇒ ⟨t2, t1⟩ ∈ co`:
 //!
@@ -45,8 +45,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::axioms::{axioms_for, check_with_order_spec, Axiom};
-use crate::check::weak::WeakIndex;
-use crate::check::{mixed, pc, ser, si};
+use crate::check::mixed;
 use crate::event::EventId;
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
@@ -234,7 +233,7 @@ fn fmt_tx(f: &mut fmt::Formatter<'_>, t: TxId) -> fmt::Result {
 /// slots.
 pub(crate) fn reconstruct(h: &History, spec: &LevelSpec, consistent: bool) -> Verdict {
     if consistent {
-        match witness_order(h, spec) {
+        match mixed::witness_spec(h, spec) {
             Some(order) => Verdict::Consistent(Witness {
                 commit_order: order,
             }),
@@ -247,38 +246,10 @@ pub(crate) fn reconstruct(h: &History, spec: &LevelSpec, consistent: bool) -> Ve
         match violation_core(h, spec) {
             Some(core) => Verdict::Inconsistent(core),
             None => Verdict::Consistent(Witness {
-                commit_order: witness_order(h, spec)
+                commit_order: mixed::witness_spec(h, spec)
                     .expect("fast path said inconsistent but no core or witness exists"),
             }),
         }
-    }
-}
-
-/// A commit order witnessing that `h` satisfies `spec`, threaded through
-/// the same engines as the boolean verdicts: the weak Kahn order, or an
-/// order-recording run of the SER/SI/PC/mixed frontier searches.
-fn witness_order(h: &History, spec: &LevelSpec) -> Option<Vec<TxId>> {
-    let Some(level) = spec.as_uniform() else {
-        return mixed::witness_spec(h, spec);
-    };
-    match level {
-        // `true` imposes no axioms; any topological order of `so ∪ wr`
-        // (which is acyclic for well-formed histories) is a witness.
-        IsolationLevel::Trivial => {
-            let mut weak = WeakIndex::new(IsolationLevel::ReadCommitted);
-            weak.sync(h);
-            weak.base_topological_order()
-        }
-        IsolationLevel::ReadCommitted
-        | IsolationLevel::ReadAtomic
-        | IsolationLevel::CausalConsistency => {
-            let mut weak = WeakIndex::new(level);
-            weak.sync(h);
-            weak.witness_order()
-        }
-        IsolationLevel::PrefixConsistency => pc::witness_pc(h),
-        IsolationLevel::SnapshotIsolation => si::witness_si(h),
-        IsolationLevel::Serializability => ser::witness_ser(h),
     }
 }
 

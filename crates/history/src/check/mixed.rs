@@ -1,464 +1,426 @@
-//! Consistency checking against *mixed* per-transaction isolation levels.
+//! The decision procedure for every level specification.
 //!
-//! Real databases run heterogeneous workloads — read-only analytics at
-//! Read Committed next to payment transactions at Serializability — and a
-//! [`LevelSpec`] assigns each transaction its own level. A history
-//! satisfies a spec when there is a strict total commit order extending
-//! `so ∪ wr` in which every transaction obeys the axioms of *its own*
-//! level (the per-transaction generalisation of Definition 2.2, following
-//! *On the Complexity of Checking Mixed Isolation Levels for SQL
-//! Transactions*).
-//!
-//! The decision procedure composes the two per-level machineries:
+//! A [`LevelSpec`] assigns each transaction its own isolation level; a
+//! uniform level is the special case that assigns every transaction the
+//! same one. A history satisfies a spec when there is a strict total commit
+//! order extending `so ∪ wr` in which every transaction obeys the axioms of
+//! *its own* level (the per-transaction generalisation of Definition 2.2,
+//! following *On the Complexity of Checking Mixed Isolation Levels for SQL
+//! Transactions*). One procedure decides all of them:
 //!
 //! * **Weak readers** (RC/RA/CC): their axiom premises never mention the
 //!   commit order, so each such read contributes a set of *forced* edges
-//!   computed by the incrementally synced `WeakIndex` — exactly the
-//!   per-level rules of the uniform checkers, selected per reader.
-//! * **Strong transactions** (SER/SI/PC): decided by a session-frontier
-//!   search over commit orders, shared with the uniform SER/SI/PC checkers
-//!   via `FrontierIndex`. Serializability transactions are placed
-//!   *atomically* and must read each variable from its last committed
-//!   writer; Snapshot Isolation transactions occupy a start/commit
-//!   *interval*: reads are checked against the snapshot at start, and no
-//!   transaction writing a common variable may commit inside the interval
-//!   (the Conflict axiom; for two SI transactions this is the classical
-//!   disjoint-interval rule). Prefix Consistency transactions occupy an
-//!   interval with the same snapshot reads but no conflict rule in either
-//!   direction. Weak and `true` transactions are placed atomically with no
-//!   read constraint beyond `wr ⊆ co` and their forced edges.
+//!   computed by the incrementally synced `WeakIndex`, under the premise of
+//!   its reader's level. A spec without PC/SI/SER holds iff
+//!   `so ∪ wr ∪ forced` is acyclic (Kahn), so no search runs at all.
+//! * **Strong transactions** (PC/SI/SER) are decided by a session-frontier
+//!   search over commit orders on the `FrontierIndex`, in which the forced
+//!   edges become commit prerequisites. Serializability transactions are
+//!   placed *atomically* and must read each variable from its last
+//!   committed writer. Snapshot Isolation transactions occupy a
+//!   start/commit *interval*: reads are checked against the snapshot at
+//!   start, and no transaction writing a common variable may commit inside
+//!   the interval (the Conflict axiom; for two SI transactions this is the
+//!   classical disjoint-interval rule). Prefix Consistency transactions
+//!   occupy an interval with the same snapshot reads but no conflict rule
+//!   in either direction. Weak and `true` transactions are placed
+//!   atomically with no read constraint beyond `wr ⊆ co` and their forced
+//!   edges.
 //!
-//! When the spec assigns no strong level the search degenerates to plain
-//! acyclicity of `so ∪ wr ∪ forced` (Kahn), and a *uniform* spec
-//! reproduces the corresponding uniform checker verdict bit-for-bit —
-//! pinned by the cross-validation tests in [`crate::check`] and the
-//! engine property suites.
+//! What a check pays for is selected from the spec alone: the weak index
+//! is synced only when some position is RC/RA/CC (readers at `true`,
+//! PC, SI and SER force no edges), the frontier index only when some
+//! position is PC/SI/SER, and a uniformly `true` spec is decided without
+//! either. The axiom-level oracle in [`crate::axioms`] cross-validates the
+//! procedure on random histories under uniform and random specs (see the
+//! tests of [`crate::check`]).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use crate::check::frontier::FrontierIndex;
 use crate::check::weak::WeakIndex;
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
 use crate::transaction::TxId;
-use crate::value::Var;
 
-/// Whether the history satisfies the mixed-level spec. Stateless entry
-/// point: builds fresh indexes per call. Long-running explorations should
-/// use the memoised engine from [`crate::check::engine::engine_for_spec`].
+/// Whether the history satisfies the level spec. Stateless entry point:
+/// builds fresh indexes per call. Long-running explorations should use the
+/// memoised engine from [`crate::check::engine::engine_for_spec`].
 pub fn satisfies_spec(h: &History, spec: &LevelSpec) -> bool {
-    if let Some(level) = spec.as_uniform() {
-        return crate::check::satisfies(h, level);
-    }
-    let mut weak = WeakIndex::new_spec(spec.clone());
-    let mut frontier = FrontierIndex::default();
-    let mut scratch = MixedScratch::default();
-    weak.sync(h);
-    if spec.has_strong() {
-        frontier.sync(h);
-    }
-    decide_mixed(spec, &mut weak, &mut frontier, &mut scratch)
+    Decider::new(spec.clone()).decide(h)
 }
 
-/// Failed-state key of the mixed search: the per-session frontier with the
-/// started flag of the session's current transaction, plus the
-/// last-committed writer of every variable. The committed set is a
-/// function of the frontiers, so it is not part of the key.
-pub(crate) type StateKey = (Vec<(usize, bool)>, Vec<(u32, u32)>);
+/// Like [`satisfies_spec`], additionally returning the commit order (init
+/// first) that witnesses consistency, for evidence reconstruction. Builds
+/// fresh indexes: this is the cold evidence path, not the memoised engine
+/// path.
+pub(crate) fn witness_spec(h: &History, spec: &LevelSpec) -> Option<Vec<TxId>> {
+    Decider::new(spec.clone()).witness(h)
+}
 
-/// Reusable buffers of the mixed decision procedure, owned by the mixed
-/// engine so repeated checks allocate nothing.
+/// The incrementally synced indexes and search buffers that decide one
+/// level spec, owned by the engine so repeated checks allocate nothing.
+#[derive(Debug)]
+pub(crate) struct Decider {
+    spec: LevelSpec,
+    /// Whether some position is RC/RA/CC, i.e. reads force commit-order
+    /// edges and the weak index has to be synced.
+    weak_readers: bool,
+    /// Whether some position is PC/SI/SER, i.e. the commit-order search
+    /// runs.
+    strong: bool,
+    pub(crate) weak: WeakIndex,
+    pub(crate) frontier: FrontierIndex,
+    scratch: SearchScratch,
+}
+
+impl Decider {
+    pub(crate) fn new(spec: LevelSpec) -> Self {
+        Decider {
+            weak_readers: [
+                IsolationLevel::ReadCommitted,
+                IsolationLevel::ReadAtomic,
+                IsolationLevel::CausalConsistency,
+            ]
+            .into_iter()
+            .any(|l| spec.mentions(l)),
+            strong: spec.has_strong(),
+            weak: WeakIndex::new(spec.clone()),
+            spec,
+            frontier: FrontierIndex::default(),
+            scratch: SearchScratch::default(),
+        }
+    }
+
+    /// Whether the spec is uniformly `true`: every history is consistent,
+    /// with no commit-order obligation (the paper's trivial level). A spec
+    /// that only *mixes in* `true` positions keeps Definition 2.2's
+    /// requirement that a commit order extending `so ∪ wr` exists.
+    pub(crate) fn is_trivial(&self) -> bool {
+        self.spec.as_uniform() == Some(IsolationLevel::Trivial)
+    }
+
+    /// Whether `h` satisfies the spec.
+    pub(crate) fn decide(&mut self, h: &History) -> bool {
+        if self.is_trivial() {
+            return true;
+        }
+        if !self.strong {
+            self.weak.sync(h);
+            return self.weak.decide();
+        }
+        self.search(h, None)
+    }
+
+    /// The commit order (init first) of a successful decision, `None` when
+    /// `h` violates the spec.
+    pub(crate) fn witness(&mut self, h: &History) -> Option<Vec<TxId>> {
+        if !self.strong {
+            // Any topological order of `so ∪ wr ∪ forced` witnesses the
+            // weak readers' axioms (and is all `true` asks for).
+            self.weak.sync(h);
+            return self.weak.witness_order();
+        }
+        let mut order = vec![TxId::INIT];
+        self.search(h, Some(&mut order)).then_some(order)
+    }
+
+    /// Syncs the indexes the spec needs and runs the commit-order search,
+    /// recording the order into `order` when given.
+    fn search(&mut self, h: &History, order: Option<&mut Vec<TxId>>) -> bool {
+        let forced = &mut self.scratch.forced_tx;
+        forced.clear();
+        if self.weak_readers {
+            self.weak.sync(h);
+            self.weak.collect_forced_tx(forced);
+        }
+        self.frontier.sync(h);
+        let s = &mut self.scratch;
+        if !s.prepare(&self.spec, &self.frontier) {
+            return false;
+        }
+        Search {
+            idx: &self.frontier,
+            s,
+            order,
+        }
+        .run()
+    }
+}
+
+/// Marker of a variable without a position in [`SearchScratch::last`].
+const UNTRACKED: u32 = u32::MAX;
+
+/// Buffers and state of the commit-order search, reused across checks.
 #[derive(Debug, Default)]
-pub(crate) struct MixedScratch {
+struct SearchScratch {
     /// Forced commit-order edges of the weak readers, as transaction ids.
     forced_tx: Vec<(TxId, TxId)>,
     /// `slot ↦` the level the spec assigns the slot's transaction.
-    slot_level: Vec<IsolationLevel>,
-    /// `slot ↦` forced-edge predecessor slots (must commit first).
-    preds: Vec<Vec<u32>>,
-    /// `slot ↦` whether the slot is committed in the current search prefix.
+    level: Vec<IsolationLevel>,
+    /// Forced edges as `(target, source)` slots sorted by target: the
+    /// slots that must commit before `slot` are
+    /// `preds[pred_head[slot]..pred_head[slot + 1]]`.
+    preds: Vec<(u32, u32)>,
+    pred_head: Vec<u32>,
+    /// `slot ↦` whether the slot is committed in the current prefix.
     committed: Vec<bool>,
-    /// Memoised failed states (cleared per check; entries are only
-    /// meaningful within one history).
-    memo: HashSet<StateKey>,
+    /// `var ↦` its position in `last`, or [`UNTRACKED`] for a variable no
+    /// transaction reads externally: its last writer constrains nothing,
+    /// so it is neither tracked nor part of the failed-state key.
+    var_pos: Vec<u32>,
+    /// Search state: per session `2 · next index + started`, where the
+    /// started bit is only ever set for PC and SI interval transactions …
+    pos: Vec<u32>,
+    /// … and the last committed writer (`TxId.0`, 0 = init) of every
+    /// tracked variable. The committed set is a function of `pos`.
+    last: Vec<u32>,
+    /// Number of started, uncommitted SI transactions.
+    started_si: u32,
+    /// Number of committed transactions.
+    placed: usize,
+    /// `(position in last, previous writer)`, restored on backtrack.
+    undo: Vec<(u32, u32)>,
+    /// Failed states (`pos` then `last`), cleared per check: entries are
+    /// only meaningful within one history.
+    failed: HashSet<Box<[u32]>>,
+    /// Key buffer, so a state is copied out only when it fails.
+    key: Vec<u32>,
 }
 
-/// Decides the spec for the history both indexes are synced to. The weak
-/// index must have been built with the same spec (it selects each forced
-/// edge by its reader's level).
-pub(crate) fn decide_mixed(
-    spec: &LevelSpec,
-    weak: &mut WeakIndex,
-    frontier: &mut FrontierIndex,
-    scratch: &mut MixedScratch,
-) -> bool {
-    if spec.as_uniform() == Some(IsolationLevel::Trivial) {
-        // Uniformly `true` is the paper's trivial level: every history is
-        // consistent, with no commit-order obligation — matching
-        // `TrivialEngine` exactly. (A *mixed* spec with `true` positions
-        // keeps Definition 2.2's requirement that a commit order
-        // extending `so ∪ wr` exists.)
-        return true;
-    }
-    if !spec.has_strong() {
-        // No SER/SI transaction: the axioms reduce to the forced edges,
-        // and the spec holds iff `so ∪ wr ∪ forced` is acyclic.
-        return weak.decide();
-    }
-    weak.collect_forced_tx(&mut scratch.forced_tx);
-    let n = frontier.len();
-    scratch.slot_level.clear();
-    scratch.slot_level.resize(n, spec.default_level());
-    for (s, txs) in frontier.sessions.iter().enumerate() {
-        for (k, &(_, slot)) in txs.iter().enumerate() {
-            scratch.slot_level[slot as usize] = spec.level_of(s as u32, k as u32);
+impl SearchScratch {
+    /// Resets the search for the history `idx` is synced to, with
+    /// `forced_tx` as commit prerequisites. Returns `false` when a forced
+    /// edge alone is unsatisfiable.
+    fn prepare(&mut self, spec: &LevelSpec, idx: &FrontierIndex) -> bool {
+        let n = idx.len();
+        self.level.clear();
+        self.level.resize(n, spec.default_level());
+        if spec.as_uniform().is_none() {
+            for (s, txs) in idx.sessions.iter().enumerate() {
+                for (k, &(_, slot)) in txs.iter().enumerate() {
+                    self.level[slot as usize] = spec.level_of(s as u32, k as u32);
+                }
+            }
         }
-    }
-    for p in &mut scratch.preds {
-        p.clear();
-    }
-    if scratch.preds.len() < n {
-        scratch.preds.resize_with(n, Vec::new);
-    }
-    for &(a, b) in &scratch.forced_tx {
-        if b.is_init() {
-            // A forced edge into the init transaction (co-first by
-            // construction) is unsatisfiable.
-            return false;
-        }
-        if a.is_init() {
-            continue; // init commits before everything: always satisfied
-        }
-        let (Some(sa), Some(sb)) = (frontier.slot_of(a), frontier.slot_of(b)) else {
-            return false;
-        };
-        scratch.preds[sb as usize].push(sa);
-    }
-    scratch.committed.clear();
-    scratch.committed.resize(n, false);
-    scratch.memo.clear();
-    let sessions = frontier.sessions.len();
-    let mut state = SearchState {
-        frontier: vec![0; sessions],
-        started: vec![false; sessions],
-        last_committed: BTreeMap::new(),
-    };
-    search(
-        frontier,
-        &scratch.slot_level,
-        &scratch.preds,
-        &mut scratch.committed,
-        &mut state,
-        &mut scratch.memo,
-        &mut None,
-    )
-}
-
-/// Like [`satisfies_spec`] for a genuinely mixed spec, additionally
-/// returning the commit order the successful search found (init first), for
-/// witness reconstruction. Builds fresh indexes: this is the cold evidence
-/// path, not the memoised engine path.
-pub(crate) fn witness_spec(h: &History, spec: &LevelSpec) -> Option<Vec<TxId>> {
-    debug_assert!(spec.as_uniform().is_none());
-    let mut weak = WeakIndex::new_spec(spec.clone());
-    weak.sync(h);
-    if !spec.has_strong() {
-        // No commit-order search: any topological order of
-        // `so ∪ wr ∪ forced` witnesses the weak readers' axioms.
-        return weak.witness_order();
-    }
-    let mut frontier = FrontierIndex::default();
-    frontier.sync(h);
-    let mut scratch = MixedScratch::default();
-    weak.collect_forced_tx(&mut scratch.forced_tx);
-    let n = frontier.len();
-    scratch.slot_level.resize(n, spec.default_level());
-    for (s, txs) in frontier.sessions.iter().enumerate() {
-        for (k, &(_, slot)) in txs.iter().enumerate() {
-            scratch.slot_level[slot as usize] = spec.level_of(s as u32, k as u32);
-        }
-    }
-    scratch.preds.resize_with(n, Vec::new);
-    for &(a, b) in &scratch.forced_tx {
-        if b.is_init() {
-            return None;
-        }
-        if a.is_init() {
-            continue;
-        }
-        let (sa, sb) = (frontier.slot_of(a)?, frontier.slot_of(b)?);
-        scratch.preds[sb as usize].push(sa);
-    }
-    scratch.committed.resize(n, false);
-    let sessions = frontier.sessions.len();
-    let mut state = SearchState {
-        frontier: vec![0; sessions],
-        started: vec![false; sessions],
-        last_committed: BTreeMap::new(),
-    };
-    let mut order = Some(vec![TxId::INIT]);
-    search(
-        &frontier,
-        &scratch.slot_level,
-        &scratch.preds,
-        &mut scratch.committed,
-        &mut state,
-        &mut scratch.memo,
-        &mut order,
-    )
-    .then(|| order.unwrap())
-}
-
-struct SearchState {
-    /// Index of the next transaction of each session (started or not).
-    frontier: Vec<usize>,
-    /// Whether the session's current transaction has started but not yet
-    /// committed (only ever true for SI and PC interval transactions).
-    started: Vec<bool>,
-    /// Last committed writer of each variable (absent = init).
-    last_committed: BTreeMap<Var, TxId>,
-}
-
-fn state_key(state: &SearchState) -> StateKey {
-    (
-        state
-            .frontier
-            .iter()
-            .copied()
-            .zip(state.started.iter().copied())
-            .collect(),
-        state
-            .last_committed
-            .iter()
-            .map(|(v, t)| (v.0, t.0))
-            .collect(),
-    )
-}
-
-/// Whether any started in-progress *Snapshot Isolation* transaction of
-/// another session visibly writes a variable that `slot` visibly writes.
-/// The Conflict axiom forbids a conflicting writer from committing inside
-/// an SI transaction's interval; Prefix Consistency has no Conflict axiom,
-/// so a started PC interval constrains nobody.
-fn conflicts_with_started(
-    idx: &FrontierIndex,
-    level: &[IsolationLevel],
-    state: &SearchState,
-    skip_session: usize,
-    slot: u32,
-) -> bool {
-    idx.visible_writes(slot as usize).any(|x| {
-        (0..idx.sessions.len()).any(|s2| {
-            if s2 == skip_session || !state.started[s2] {
+        self.preds.clear();
+        for &(a, b) in &self.forced_tx {
+            if b.is_init() {
+                // Init commits first by construction.
                 return false;
             }
-            let (_, slot2) = idx.sessions[s2][state.frontier[s2]];
-            level[slot2 as usize] == IsolationLevel::SnapshotIsolation
-                && idx.writes_var(slot2 as usize, x)
-        })
-    })
+            if a.is_init() {
+                continue; // always satisfied
+            }
+            let (Some(sa), Some(sb)) = (idx.slot_of(a), idx.slot_of(b)) else {
+                return false;
+            };
+            self.preds.push((sb, sa));
+        }
+        self.preds.sort_unstable();
+        self.pred_head.clear();
+        self.pred_head.resize(n + 1, 0);
+        for &(b, _) in &self.preds {
+            self.pred_head[b as usize + 1] += 1;
+        }
+        for v in 0..n {
+            self.pred_head[v + 1] += self.pred_head[v];
+        }
+        self.var_pos.clear();
+        let mut tracked = 0;
+        for &(x, _) in idx.reads.iter().flatten() {
+            let x = x.0 as usize;
+            if self.var_pos.len() <= x {
+                self.var_pos.resize(x + 1, UNTRACKED);
+            }
+            if self.var_pos[x] == UNTRACKED {
+                self.var_pos[x] = tracked;
+                tracked += 1;
+            }
+        }
+        self.last.clear();
+        self.last.resize(tracked as usize, TxId::INIT.0);
+        self.pos.clear();
+        self.pos.resize(idx.sessions.len(), 0);
+        self.committed.clear();
+        self.committed.resize(n, false);
+        self.started_si = 0;
+        self.placed = 0;
+        self.undo.clear();
+        self.failed.clear();
+        true
+    }
 }
 
-fn search(
-    idx: &FrontierIndex,
-    level: &[IsolationLevel],
-    preds: &[Vec<u32>],
-    committed: &mut Vec<bool>,
-    state: &mut SearchState,
-    memo: &mut HashSet<StateKey>,
-    order: &mut Option<Vec<TxId>>,
-) -> bool {
-    let done = state
-        .frontier
-        .iter()
-        .zip(&idx.sessions)
-        .all(|(f, s)| *f == s.len());
-    if done {
-        return true;
-    }
-    let key = state_key(state);
-    if memo.contains(&key) {
-        return false;
-    }
-    for s in 0..idx.sessions.len() {
-        if state.frontier[s] >= idx.sessions[s].len() {
-            continue;
+/// One run of the search over the synced frontier index.
+struct Search<'a> {
+    idx: &'a FrontierIndex,
+    s: &'a mut SearchScratch,
+    order: Option<&'a mut Vec<TxId>>,
+}
+
+impl Search<'_> {
+    fn run(&mut self) -> bool {
+        if self.s.placed == self.idx.len() {
+            return true;
         }
-        let (t, slot) = idx.sessions[s][state.frontier[s]];
-        let lvl = level[slot as usize];
-        if matches!(
-            lvl,
-            IsolationLevel::SnapshotIsolation | IsolationLevel::PrefixConsistency
-        ) {
-            if !state.started[s] {
-                // Try to start t: snapshot reads, plus — for SI only —
-                // write-conflict freedom against the other in-progress SI
-                // transactions. PC starts are never conflict-constrained.
-                let snapshot_ok = idx.reads[slot as usize]
-                    .iter()
-                    .all(|(x, w)| state.last_committed.get(x).copied().unwrap_or(TxId::INIT) == *w);
-                if !snapshot_ok
-                    || (lvl == IsolationLevel::SnapshotIsolation
-                        && conflicts_with_started(idx, level, state, s, slot))
-                {
-                    continue;
-                }
-                state.started[s] = true;
-                if search(idx, level, preds, committed, state, memo, order) {
-                    return true;
-                }
-                state.started[s] = false;
-            } else {
-                // Commit t: the forced-edge predecessors must be in, and
-                // the commit must not land inside a conflicting started SI
-                // interval (reachable only for PC commits — two
-                // conflicting SI intervals never overlap by the start
-                // rule).
-                if !preds[slot as usize].iter().all(|&p| committed[p as usize])
-                    || conflicts_with_started(idx, level, state, s, slot)
-                {
-                    continue;
-                }
-                state.started[s] = false;
-                state.frontier[s] += 1;
-                committed[slot as usize] = true;
-                let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-                for x in idx.visible_writes(slot as usize) {
-                    saved.push((x, state.last_committed.insert(x, t)));
-                }
-                if let Some(order) = order.as_mut() {
-                    order.push(t);
-                }
-                let found = search(idx, level, preds, committed, state, memo, order);
-                if !found {
-                    if let Some(order) = order.as_mut() {
-                        order.pop();
-                    }
-                }
-                for (x, old) in saved.into_iter().rev() {
-                    match old {
-                        Some(w) => {
-                            state.last_committed.insert(x, w);
-                        }
-                        None => {
-                            state.last_committed.remove(&x);
-                        }
-                    }
-                }
-                committed[slot as usize] = false;
-                state.frontier[s] -= 1;
-                state.started[s] = true;
-                if found {
-                    return true;
-                }
-            }
-        } else {
-            // Atomic placement (start = commit) for SER, the weak levels
-            // and `true`.
-            if !preds[slot as usize].iter().all(|&p| committed[p as usize]) {
-                continue;
-            }
-            let reads_ok = match lvl {
-                // Serializability: every external read observes the last
-                // committed writer at the placement point.
-                IsolationLevel::Serializability => idx.reads[slot as usize]
-                    .iter()
-                    .all(|(x, w)| state.last_committed.get(x).copied().unwrap_or(TxId::INIT) == *w),
-                // Weak levels and `true`: the commit order merely extends
-                // `wr`, so each observed writer must already be committed
-                // (the level's axioms are carried by the forced edges).
-                _ => idx.reads[slot as usize].iter().all(|(_, w)| {
-                    w.is_init() || idx.slot_of(*w).is_some_and(|ws| committed[ws as usize])
-                }),
-            };
-            if !reads_ok || conflicts_with_started(idx, level, state, s, slot) {
-                continue;
-            }
-            state.frontier[s] += 1;
-            committed[slot as usize] = true;
-            let mut saved: Vec<(Var, Option<TxId>)> = Vec::new();
-            for x in idx.visible_writes(slot as usize) {
-                saved.push((x, state.last_committed.insert(x, t)));
-            }
-            if let Some(order) = order.as_mut() {
-                order.push(t);
-            }
-            let found = search(idx, level, preds, committed, state, memo, order);
-            if !found {
-                if let Some(order) = order.as_mut() {
-                    order.pop();
-                }
-            }
-            for (x, old) in saved.into_iter().rev() {
-                match old {
-                    Some(w) => {
-                        state.last_committed.insert(x, w);
-                    }
-                    None => {
-                        state.last_committed.remove(&x);
-                    }
-                }
-            }
-            committed[slot as usize] = false;
-            state.frontier[s] -= 1;
-            if found {
+        self.fill_key();
+        if self.s.failed.contains(self.s.key.as_slice()) {
+            return false;
+        }
+        for session in 0..self.idx.sessions.len() {
+            if self.step(session) {
                 return true;
             }
         }
+        // The recursion reused the key buffer: rebuild it.
+        self.fill_key();
+        self.s.failed.insert(self.s.key.as_slice().into());
+        false
     }
-    memo.insert(key);
-    false
+
+    fn fill_key(&mut self) {
+        let s = &mut *self.s;
+        s.key.clear();
+        s.key.extend_from_slice(&s.pos);
+        s.key.extend_from_slice(&s.last);
+    }
+
+    /// Tries the next move of `session`: starting its current transaction
+    /// (PC/SI) or committing it (a started PC/SI transaction, or an atomic
+    /// placement at any other level), then searches on.
+    fn step(&mut self, session: usize) -> bool {
+        let idx = self.idx;
+        let p = self.s.pos[session];
+        let Some(&(t, slot)) = idx.sessions[session].get(p as usize / 2) else {
+            return false;
+        };
+        let level = self.s.level[slot as usize];
+        let interval = matches!(
+            level,
+            IsolationLevel::SnapshotIsolation | IsolationLevel::PrefixConsistency
+        );
+        let si = level == IsolationLevel::SnapshotIsolation;
+        if interval && p % 2 == 0 {
+            // Start: snapshot reads, plus — for SI only — write-conflict
+            // freedom against the other started SI transactions.
+            if !self.snapshot_ok(slot) || (si && self.conflicts_with_started(session, slot)) {
+                return false;
+            }
+            self.s.pos[session] += 1;
+            self.s.started_si += si as u32;
+            if self.run() {
+                return true;
+            }
+            self.s.started_si -= si as u32;
+            self.s.pos[session] -= 1;
+            return false;
+        }
+        let head = &self.s.pred_head;
+        let preds = &self.s.preds[head[slot as usize] as usize..head[slot as usize + 1] as usize];
+        if !preds.iter().all(|&(_, p)| self.s.committed[p as usize]) {
+            return false;
+        }
+        let reads_ok = match level {
+            // Interval reads were checked at start.
+            IsolationLevel::SnapshotIsolation | IsolationLevel::PrefixConsistency => true,
+            // Serializability: every external read observes the last
+            // committed writer at the placement point.
+            IsolationLevel::Serializability => self.snapshot_ok(slot),
+            // Weak levels and `true`: the commit order merely extends
+            // `wr`, so each observed writer must already be committed (the
+            // level's axioms are carried by the forced edges).
+            _ => idx.reads[slot as usize].iter().all(|&(_, w)| {
+                w.is_init()
+                    || idx
+                        .slot_of(w)
+                        .is_some_and(|ws| self.s.committed[ws as usize])
+            }),
+        };
+        // The commit must not land inside a conflicting started SI
+        // interval. An SI commit never does: the start rule keeps the
+        // intervals of conflicting SI transactions disjoint.
+        if !reads_ok || (!si && self.conflicts_with_started(session, slot)) {
+            return false;
+        }
+        self.commit(session, t, slot, if interval { 1 } else { 2 }, si)
+    }
+
+    /// Commits `t` (at `slot`, the current transaction of `session`),
+    /// advancing the session's position by `advance`, and searches on.
+    fn commit(&mut self, session: usize, t: TxId, slot: u32, advance: u32, si: bool) -> bool {
+        let s = &mut *self.s;
+        let mark = s.undo.len();
+        for x in self.idx.visible_writes(slot as usize) {
+            if let Some(&k) = s.var_pos.get(x.0 as usize) {
+                if k != UNTRACKED {
+                    s.undo.push((k, s.last[k as usize]));
+                    s.last[k as usize] = t.0;
+                }
+            }
+        }
+        s.pos[session] += advance;
+        s.started_si -= si as u32;
+        s.committed[slot as usize] = true;
+        s.placed += 1;
+        if let Some(order) = self.order.as_deref_mut() {
+            order.push(t);
+        }
+        if self.run() {
+            return true;
+        }
+        if let Some(order) = self.order.as_deref_mut() {
+            order.pop();
+        }
+        let s = &mut *self.s;
+        s.placed -= 1;
+        s.committed[slot as usize] = false;
+        s.started_si += si as u32;
+        s.pos[session] -= advance;
+        for (k, old) in s.undo.drain(mark..).rev() {
+            s.last[k as usize] = old;
+        }
+        false
+    }
+
+    /// Whether every external read of `slot` observes the last committed
+    /// writer of its variable.
+    fn snapshot_ok(&self, slot: u32) -> bool {
+        self.idx.reads[slot as usize]
+            .iter()
+            .all(|&(x, w)| self.s.last[self.s.var_pos[x.0 as usize] as usize] == w.0)
+    }
+
+    /// Whether a started SI transaction of another session visibly writes a
+    /// variable that `slot` visibly writes. The Conflict axiom forbids a
+    /// conflicting writer from committing inside an SI transaction's
+    /// interval; Prefix Consistency has no Conflict axiom, so a started PC
+    /// interval constrains nobody.
+    fn conflicts_with_started(&self, session: usize, slot: u32) -> bool {
+        if self.s.started_si == 0 {
+            return false;
+        }
+        let idx = self.idx;
+        idx.visible_writes(slot as usize).any(|x| {
+            (0..idx.sessions.len()).any(|s2| {
+                let p = self.s.pos[s2];
+                if s2 == session || p % 2 == 0 {
+                    return false;
+                }
+                let (_, slot2) = idx.sessions[s2][p as usize / 2];
+                self.s.level[slot2 as usize] == IsolationLevel::SnapshotIsolation
+                    && idx.writes_var(slot2 as usize, x)
+            })
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventId, EventKind};
+    use crate::check::tests::Builder;
     use crate::isolation::IsolationLevel::*;
-    use crate::transaction::SessionId;
-    use crate::value::Value;
-
-    struct Builder {
-        h: History,
-        next_event: u32,
-        next_tx: u32,
-    }
-
-    impl Builder {
-        fn new() -> Self {
-            Builder {
-                h: History::new([]),
-                next_event: 0,
-                next_tx: 0,
-            }
-        }
-        fn fresh(&mut self) -> EventId {
-            self.next_event += 1;
-            EventId(self.next_event)
-        }
-        fn begin(&mut self, s: u32) -> TxId {
-            self.next_tx += 1;
-            let id = TxId(self.next_tx);
-            let idx = self.h.session_txs(SessionId(s)).len();
-            let e = Event::new(self.fresh(), EventKind::Begin);
-            self.h.begin_transaction(SessionId(s), id, idx, e);
-            id
-        }
-        fn write(&mut self, s: u32, x: Var, v: i64) {
-            let e = Event::new(self.fresh(), EventKind::Write(x, Value::Int(v)));
-            self.h.append_event(SessionId(s), e);
-        }
-        fn read(&mut self, s: u32, x: Var, from: TxId) {
-            let e = Event::new(self.fresh(), EventKind::Read(x));
-            let id = e.id;
-            self.h.append_event(SessionId(s), e);
-            self.h.set_wr(id, from);
-        }
-        fn commit(&mut self, s: u32) {
-            let e = Event::new(self.fresh(), EventKind::Commit);
-            self.h.append_event(SessionId(s), e);
-        }
-    }
+    use crate::value::Var;
 
     /// Lost update: both transactions read x from init and write it.
     fn lost_update() -> History {
@@ -499,11 +461,12 @@ mod tests {
 
     #[test]
     fn uniform_specs_match_uniform_checkers() {
+        // The uniform checker here is the axiom-level oracle.
         for h in [lost_update(), long_fork(), History::default()] {
             for level in IsolationLevel::ALL {
                 assert_eq!(
                     satisfies_spec(&h, &LevelSpec::uniform(level)),
-                    crate::check::satisfies(&h, level),
+                    crate::axioms::oracle_satisfies(&h, level),
                     "uniform {level} spec diverged on\n{h}"
                 );
             }

@@ -43,17 +43,6 @@ use crate::value::Var;
 /// Absent-vertex sentinel of the direct-indexed `TxId.0 ↦ vertex` table.
 const NO_VERTEX: u32 = u32::MAX;
 
-/// Checks Read Committed, Read Atomic or Causal Consistency.
-///
-/// # Panics
-///
-/// Panics if called with a level outside `{RC, RA, CC}`.
-pub fn satisfies_weak(h: &History, level: IsolationLevel) -> bool {
-    let mut idx = WeakIndex::new(level);
-    idx.sync(h);
-    idx.decide()
-}
-
 /// One axiom instance: a read of `var` in transaction (vertex) `reader`
 /// reading from `writer`, with `prefix` wr-reads of the same transaction
 /// preceding it in program order (the Read Committed premise set).
@@ -115,15 +104,15 @@ struct SavedRows {
     entries: Vec<(u32, u32)>,
 }
 
-/// Reusable, incrementally synced state for the weak-level checks. One
-/// instance is owned by each [`crate::check::engine::WeakEngine`].
+/// Reusable, incrementally synced state for the weak-level checks, owned by
+/// the decision procedure of [`crate::check::mixed`] (and through it by
+/// each [`crate::check::engine::MixedEngine`]).
 #[derive(Debug)]
 pub(crate) struct WeakIndex {
-    /// Level assignment. For the uniform specs of [`satisfies_weak`] /
-    /// `WeakEngine` every reader uses the same premise; a mixed spec makes
-    /// each read contribute the forced edges of *its reader's* level
-    /// (readers at `true`/SI/SER contribute none — the strong levels are
-    /// handled by the commit-order search in [`crate::check::mixed`]).
+    /// Level assignment: each read contributes the forced edges of *its
+    /// reader's* level (readers at `true`/PC/SI/SER contribute none — the
+    /// strong levels are handled by the commit-order search in
+    /// [`crate::check::mixed`]).
     spec: LevelSpec,
     /// Whether the transitive closure `reach` is maintained (present iff
     /// the spec assigns Causal Consistency somewhere).
@@ -160,10 +149,6 @@ pub(crate) struct WeakIndex {
     /// positions of those reads (ascending).
     wr_seqs: Vec<Vec<u32>>,
     wr_read_pos: Vec<Vec<u32>>,
-    /// Verdict of the last `decide` for the current sync point, reused
-    /// verbatim while the history's generation is unchanged (covers
-    /// re-checks whose memo entry was evicted).
-    verdict: Option<bool>,
     /// LIFO undo journal mirroring the history's, plus the saved-row arena.
     undo: Vec<UndoRec>,
     saved: SavedRows,
@@ -180,29 +165,11 @@ pub(crate) struct WeakIndex {
 }
 
 impl WeakIndex {
-    /// Creates an empty index for one of `{RC, RA, CC}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a level outside `{RC, RA, CC}`.
-    pub fn new(level: IsolationLevel) -> Self {
-        assert!(
-            matches!(
-                level,
-                IsolationLevel::ReadCommitted
-                    | IsolationLevel::ReadAtomic
-                    | IsolationLevel::CausalConsistency
-            ),
-            "satisfies_weak only handles RC/RA/CC, got {level}"
-        );
-        Self::new_spec(LevelSpec::uniform(level))
-    }
-
-    /// Creates an empty index for an arbitrary level assignment. Readers at
-    /// weak levels contribute their forced edges; readers at `true`, SI or
+    /// Creates an empty index for a level assignment. Readers at weak
+    /// levels contribute their forced edges; readers at `true`, PC, SI or
     /// SER contribute none (see [`crate::check::mixed`] for how the strong
     /// levels are decided on top of this index).
-    pub(crate) fn new_spec(spec: LevelSpec) -> Self {
+    pub(crate) fn new(spec: LevelSpec) -> Self {
         WeakIndex {
             want_reach: spec.mentions(IsolationLevel::CausalConsistency),
             spec,
@@ -224,7 +191,6 @@ impl WeakIndex {
             reads: Vec::new(),
             wr_seqs: Vec::new(),
             wr_read_pos: Vec::new(),
-            verdict: None,
             undo: Vec::new(),
             saved: SavedRows::default(),
             incremental_hits: 0,
@@ -240,13 +206,12 @@ impl WeakIndex {
 
     /// Brings the index in sync with `h`, replaying the recorded mutation
     /// deltas when possible and rebuilding from scratch otherwise.
-    pub fn sync(&mut self, h: &History) {
+    pub(crate) fn sync(&mut self, h: &History) {
         if self.synced && self.uid == h.uid() {
             if self.gen == h.generation() {
                 self.incremental_hits += 1;
                 return;
             }
-            self.verdict = None;
             let replayed = match h.deltas_since(self.gen) {
                 None => false,
                 Some(deltas) => {
@@ -273,84 +238,27 @@ impl WeakIndex {
     /// Decides the isolation level for the currently synced history:
     /// collects the forced commit-order edges from the axiom instances and
     /// tests acyclicity of the base graph extended with them.
-    pub fn decide(&mut self) -> bool {
+    pub(crate) fn decide(&mut self) -> bool {
         debug_assert!(self.synced, "decide on an unsynced index");
         self.collect_forced();
-        self.forced_acyclic()
+        self.forced_acyclic(None)
     }
 
-    /// Cold evidence path of [`decide`](Self::decide): collects the forced
-    /// edges and, when `so ∪ wr ∪ forced` is acyclic, returns a topological
-    /// order of the transactions (init first) — a total commit order
-    /// witnessing every weak reader's axioms, since the forced edges are
-    /// exactly the constraints those axioms impose. Returns `None` on a
-    /// cycle. Unlike the in-place Kahn of `forced_acyclic`, this allocates
-    /// and is only meant for on-demand witness reconstruction.
+    /// Evidence path of [`decide`](Self::decide): when `so ∪ wr ∪ forced`
+    /// is acyclic, returns a topological order of the transactions (init
+    /// first) — a total commit order witnessing every weak reader's axioms,
+    /// since the forced edges are exactly the constraints those axioms
+    /// impose. Returns `None` on a cycle.
     pub(crate) fn witness_order(&mut self) -> Option<Vec<TxId>> {
         debug_assert!(self.synced, "witness_order on an unsynced index");
         self.collect_forced();
-        let n = self.txs.len();
-        let mut indeg = vec![0usize; n];
-        for v in 0..n {
-            for &w in self.graph.successors(v) {
-                indeg[w] += 1;
-            }
-        }
-        for &(_, b) in &self.forced {
-            indeg[b as usize] += 1;
-        }
-        let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(self.txs[v as usize]);
-            for &w in self.graph.successors(v as usize) {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push_back(w as u32);
-                }
-            }
-            for &(a, b) in &self.forced {
-                if a == v {
-                    indeg[b as usize] -= 1;
-                    if indeg[b as usize] == 0 {
-                        queue.push_back(b);
-                    }
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
-
-    /// A topological order of the base graph alone (`so ∪ wr`, forced edges
-    /// ignored), init first — the witness commit order for the trivial
-    /// level, which imposes no axioms beyond well-formedness. `None` only
-    /// for a malformed (cyclic `so ∪ wr`) history.
-    pub(crate) fn base_topological_order(&mut self) -> Option<Vec<TxId>> {
-        debug_assert!(self.synced, "base_topological_order on an unsynced index");
-        let n = self.txs.len();
-        let mut indeg = vec![0usize; n];
-        for v in 0..n {
-            for &w in self.graph.successors(v) {
-                indeg[w] += 1;
-            }
-        }
-        let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(self.txs[v as usize]);
-            for &w in self.graph.successors(v as usize) {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push_back(w as u32);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
+        let mut order = Vec::with_capacity(self.txs.len());
+        self.forced_acyclic(Some(&mut order)).then_some(order)
     }
 
     /// Collects the commit-order edges forced by the axiom instances into
     /// `self.forced`, each read contributing under *its reader's* level
-    /// (readers at `true`/SI/SER contribute nothing).
+    /// (readers at `true`/PC/SI/SER contribute nothing).
     fn collect_forced(&mut self) {
         let forced = &mut self.forced;
         forced.clear();
@@ -405,8 +313,9 @@ impl WeakIndex {
         );
     }
 
-    /// Tests acyclicity of the base graph extended with `self.forced`.
-    fn forced_acyclic(&mut self) -> bool {
+    /// Tests acyclicity of the base graph extended with `self.forced`,
+    /// pushing the vertices onto `order` in the topological order found.
+    fn forced_acyclic(&mut self, mut order: Option<&mut Vec<TxId>>) -> bool {
         let forced = &mut self.forced;
         // Kahn's algorithm over the base graph plus the forced edges
         // (forced edges may repeat base edges; multiplicity is harmless as
@@ -454,6 +363,9 @@ impl WeakIndex {
         let mut seen = 0usize;
         while let Some(v) = self.kahn.pop_front() {
             seen += 1;
+            if let Some(order) = order.as_deref_mut() {
+                order.push(self.txs[v as usize]);
+            }
             for &w in self.graph.successors(v as usize) {
                 self.indeg[w] -= 1;
                 if self.indeg[w] == 0 {
@@ -481,7 +393,6 @@ impl WeakIndex {
     /// transaction logs, and re-anchors the sync point at `h`'s current
     /// generation.
     fn rebuild(&mut self, h: &History) {
-        self.verdict = None;
         self.undo.clear();
         self.saved.words.clear();
         self.saved.entries.clear();
@@ -1035,66 +946,13 @@ impl WeakIndex {
     }
 }
 
-/// Like [`satisfies_weak`], reusing a caller-owned index (the engines'
-/// entry point).
-pub(crate) fn satisfies_weak_with(h: &History, idx: &mut WeakIndex) -> bool {
-    idx.sync(h);
-    if let Some(v) = idx.verdict {
-        return v;
-    }
-    let v = idx.decide();
-    idx.verdict = Some(v);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::satisfies;
+    use crate::check::tests::Builder;
     use crate::event::{Event, EventId, EventKind};
     use crate::transaction::SessionId;
-    use crate::value::{Value, Var};
-
-    struct Builder {
-        h: History,
-        next_event: u32,
-        next_tx: u32,
-    }
-
-    impl Builder {
-        fn new() -> Self {
-            Builder {
-                h: History::new([]),
-                next_event: 0,
-                next_tx: 0,
-            }
-        }
-        fn fresh(&mut self) -> EventId {
-            self.next_event += 1;
-            EventId(self.next_event)
-        }
-        fn begin(&mut self, s: u32) -> TxId {
-            self.next_tx += 1;
-            let id = TxId(self.next_tx);
-            let idx = self.h.session_txs(SessionId(s)).len();
-            let e = Event::new(self.fresh(), EventKind::Begin);
-            self.h.begin_transaction(SessionId(s), id, idx, e);
-            id
-        }
-        fn write(&mut self, s: u32, x: Var, v: i64) {
-            let e = Event::new(self.fresh(), EventKind::Write(x, Value::Int(v)));
-            self.h.append_event(SessionId(s), e);
-        }
-        fn read(&mut self, s: u32, x: Var, from: TxId) {
-            let e = Event::new(self.fresh(), EventKind::Read(x));
-            let id = e.id;
-            self.h.append_event(SessionId(s), e);
-            self.h.set_wr(id, from);
-        }
-        fn commit(&mut self, s: u32) {
-            let e = Event::new(self.fresh(), EventKind::Commit);
-            self.h.append_event(SessionId(s), e);
-        }
-    }
 
     /// Fig. 3: CC violation, RA/RC consistent.
     fn fig3() -> History {
@@ -1121,9 +979,9 @@ mod tests {
     #[test]
     fn fig3_violates_cc_only() {
         let h = fig3();
-        assert!(!satisfies_weak(&h, IsolationLevel::CausalConsistency));
-        assert!(satisfies_weak(&h, IsolationLevel::ReadAtomic));
-        assert!(satisfies_weak(&h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&h, IsolationLevel::CausalConsistency));
+        assert!(satisfies(&h, IsolationLevel::ReadAtomic));
+        assert!(satisfies(&h, IsolationLevel::ReadCommitted));
     }
 
     /// Fig. 9d under CC: read of y from init while reading x from a later
@@ -1143,11 +1001,11 @@ mod tests {
         b.read(1, x, TxId::INIT);
         b.commit(1);
         let h = b.h;
-        assert!(!satisfies_weak(&h, IsolationLevel::ReadAtomic));
-        assert!(!satisfies_weak(&h, IsolationLevel::CausalConsistency));
+        assert!(!satisfies(&h, IsolationLevel::ReadAtomic));
+        assert!(!satisfies(&h, IsolationLevel::CausalConsistency));
         // RC: the read of x from init is preceded (po) by a read from t1,
         // so t1 must precede init in co: violation of RC as well.
-        assert!(!satisfies_weak(&h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&h, IsolationLevel::ReadCommitted));
         // Swapping the order of the two reads removes the RC violation.
         let mut b = Builder::new();
         let t1 = b.begin(0);
@@ -1159,8 +1017,8 @@ mod tests {
         b.read(1, y, t1);
         b.commit(1);
         let h = b.h;
-        assert!(satisfies_weak(&h, IsolationLevel::ReadCommitted));
-        assert!(!satisfies_weak(&h, IsolationLevel::ReadAtomic));
+        assert!(satisfies(&h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&h, IsolationLevel::ReadAtomic));
     }
 
     #[test]
@@ -1179,7 +1037,7 @@ mod tests {
         b.begin(1);
         b.read(1, x, t1);
         b.commit(1);
-        assert!(satisfies_weak(&b.h, IsolationLevel::CausalConsistency));
+        assert!(satisfies(&b.h, IsolationLevel::CausalConsistency));
 
         // But if t3 first reads x from t2 then reads x again from t1 the
         // second read is internal-free and CC (even RC) is violated.
@@ -1194,8 +1052,8 @@ mod tests {
         b.read(1, x, t2);
         b.read(1, x, t1);
         b.commit(1);
-        assert!(!satisfies_weak(&b.h, IsolationLevel::ReadCommitted));
-        assert!(!satisfies_weak(&b.h, IsolationLevel::CausalConsistency));
+        assert!(!satisfies(&b.h, IsolationLevel::ReadCommitted));
+        assert!(!satisfies(&b.h, IsolationLevel::CausalConsistency));
     }
 
     #[test]
@@ -1213,7 +1071,7 @@ mod tests {
             IsolationLevel::ReadAtomic,
             IsolationLevel::CausalConsistency,
         ] {
-            assert!(satisfies_weak(&b.h, level));
+            assert!(satisfies(&b.h, level));
         }
     }
 
@@ -1225,14 +1083,8 @@ mod tests {
             IsolationLevel::ReadAtomic,
             IsolationLevel::CausalConsistency,
         ] {
-            assert!(satisfies_weak(&h, level));
+            assert!(satisfies(&h, level));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "only handles RC/RA/CC")]
-    fn rejects_strong_levels() {
-        satisfies_weak(&History::default(), IsolationLevel::Serializability);
     }
 
     /// The incremental fast path: a candidate loop (set → check → unset)
@@ -1254,22 +1106,26 @@ mod tests {
         let mark = h.checkpoint();
         h.append_event(SessionId(2), Event::new(read, EventKind::Read(x)));
 
-        let mut idx = WeakIndex::new(IsolationLevel::CausalConsistency);
-        idx.sync(&h); // first sync: one rebuild
-        assert_eq!(idx.full_rebuilds, 1);
+        let cc = IsolationLevel::CausalConsistency;
+        let mut idx = WeakIndex::new(LevelSpec::uniform(cc));
+        let mut incremental = |h: &History| {
+            idx.sync(h);
+            idx.decide()
+        };
+        incremental(&h); // first sync: one rebuild
         for writer in [TxId::INIT, t1, t2] {
             h.set_wr(read, writer);
-            let inc = satisfies_weak_with(&h, &mut idx);
-            let fresh = satisfies_weak(&h, IsolationLevel::CausalConsistency);
-            assert_eq!(inc, fresh, "incremental disagrees for writer {writer}");
-            h.unset_wr(read);
+            let fresh = satisfies(&h, cc);
             assert_eq!(
-                satisfies_weak_with(&h, &mut idx),
-                satisfies_weak(&h, IsolationLevel::CausalConsistency)
+                incremental(&h),
+                fresh,
+                "incremental disagrees for writer {writer}"
             );
+            h.unset_wr(read);
+            assert_eq!(incremental(&h), satisfies(&h, cc));
         }
         h.rollback(mark);
-        assert!(satisfies_weak_with(&h, &mut idx));
+        assert!(incremental(&h));
         assert_eq!(idx.full_rebuilds, 1, "candidate loop forced a rebuild");
         assert!(idx.incremental_hits >= 6);
     }
