@@ -263,10 +263,11 @@ pub struct ExplorationReport {
     pub violating_history: Option<History>,
     /// Violation core of the first end state the output filter rejected
     /// (`explore-ce*` only): the minimal cycle of `so`/`wr`/forced edges
-    /// showing why that history fails the target spec, reconstructed on
-    /// demand through the engine's evidence path
-    /// ([`txdpor_history::ConsistencyChecker::check_witnessed`]) without
-    /// touching its memoised fast path. `None` when nothing was filtered.
+    /// showing why that history fails the target spec, from the engine's
+    /// evidence path
+    /// ([`txdpor_history::ConsistencyChecker::check_witnessed`]), which
+    /// serves the memoised rejection without searching again. `None` when
+    /// nothing was filtered.
     pub first_rejection: Option<Violation>,
     /// Interning table for the global variables of the program, for
     /// rendering histories.

@@ -662,9 +662,9 @@ impl<'a> Explorer<'a> {
         if !valid {
             if self.report.first_rejection.is_none() {
                 if let Some(checker) = self.output_checker.as_mut() {
-                    // Once per run, off the hot path: the boolean verdict
-                    // above is already memoised, so this only pays for the
-                    // on-demand evidence reconstruction.
+                    // Once per run, off the hot path: the rejection above
+                    // is memoised, so this goes straight to the violation
+                    // core without a second search.
                     if let Verdict::Inconsistent(core) = checker.check_witnessed(&h.history) {
                         self.report.first_rejection = Some(core);
                     }

@@ -94,17 +94,23 @@ impl CommitOrder {
     }
 }
 
-/// Whether `φ_axiom(t2, α)` holds in `h` under commit order `co`, where the
-/// read `α` belongs to `t3` and reads variable `x`.
-fn premise_holds(
+/// Whether `φ_axiom(t2, α)` holds in `h` when the commit order relates
+/// transactions as `before` does, where the read `α` belongs to `t3`.
+///
+/// Every premise is a positive existential over `co` facts, so for a
+/// strict partial order `before` it holds exactly when it holds in every
+/// total extension: the violation-core saturation
+/// ([`crate::check::evidence`]) evaluates premises over its derived partial
+/// order, the oracle over candidate total orders.
+pub(crate) fn premise_holds(
     axiom: Axiom,
     h: &History,
-    co: &CommitOrder,
+    before: impl Fn(TxId, TxId) -> bool,
     t3: TxId,
     alpha: EventId,
-    _x: Var,
     t2: TxId,
 ) -> bool {
+    let before_eq = |a: TxId, b: TxId| a == b || before(a, b);
     match axiom {
         Axiom::ReadCommitted => {
             // ∃ read c in t3, po-before α, reading from t2.
@@ -117,10 +123,10 @@ fn premise_holds(
         }
         Axiom::ReadAtomic => h.so_or_wr(t2, t3),
         Axiom::Causal => h.causally_before(t2, t3),
-        Axiom::Serializability => co.before(t2, t3),
+        Axiom::Serializability => before(t2, t3),
         Axiom::Prefix => {
             // ∃ t4. ⟨t2, t4⟩ ∈ co* ∧ ⟨t4, t3⟩ ∈ so ∪ wr
-            all_txs(h).any(|t4| co.before_eq(t2, t4) && h.so_or_wr(t4, t3))
+            all_txs(h).any(|t4| before_eq(t2, t4) && h.so_or_wr(t4, t3))
         }
         Axiom::Conflict => {
             // ∃ t4, y. t3 writes y ∧ t4 writes y ∧ ⟨t2, t4⟩ ∈ co* ∧ ⟨t4, t3⟩ ∈ co
@@ -132,16 +138,14 @@ fn premise_holds(
                 return false;
             }
             all_txs(h).any(|t4| {
-                co.before_eq(t2, t4)
-                    && co.before(t4, t3)
-                    && written.iter().any(|y| h.writes_var(t4, *y))
+                before_eq(t2, t4) && before(t4, t3) && written.iter().any(|y| h.writes_var(t4, *y))
             })
         }
     }
 }
 
 /// All transactions of a history, init first.
-fn all_txs(h: &History) -> impl Iterator<Item = TxId> + '_ {
+pub(crate) fn all_txs(h: &History) -> impl Iterator<Item = TxId> + '_ {
     std::iter::once(TxId::INIT).chain(h.tx_ids())
 }
 
@@ -165,7 +169,9 @@ pub fn axioms_hold_spec(h: &History, spec: &LevelSpec, co: &CommitOrder) -> bool
                 continue;
             }
             for ax in axioms {
-                if premise_holds(*ax, h, co, t3, alpha, x, t2) && !co.before(t2, t1) {
+                if premise_holds(*ax, h, |a, b| co.before(a, b), t3, alpha, t2)
+                    && !co.before(t2, t1)
+                {
                     return false;
                 }
             }

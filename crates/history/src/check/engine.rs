@@ -68,7 +68,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::check::evidence::{self, Verdict};
+use crate::check::evidence::{self, Verdict, Witness};
 use crate::check::mixed;
 use crate::check::shared::SharedMemo;
 use crate::history::History;
@@ -114,9 +114,10 @@ pub struct EngineStats {
     /// serial runs and engines without an attached shared memo.
     pub shared_memo_hits: u64,
     /// Total nanoseconds spent deciding memo misses (sync + decision
-    /// procedure), measured on the thread running the engine. Memo hits
-    /// are a single table probe and are not timed — an `Instant` pair per
-    /// hit would dominate the hit itself.
+    /// procedure) and searching the commit orders of witnessed checks,
+    /// measured on the thread running the engine. Memo hits of boolean
+    /// checks are a single table probe and are not timed — an `Instant`
+    /// pair per hit would dominate the hit itself.
     ///
     /// This is per-engine *CPU-side* time: [`absorb`](EngineStats::absorb)
     /// sums it across engines and workers, so on a parallel run the total
@@ -185,16 +186,14 @@ pub trait ConsistencyChecker: Send {
     /// axiom instances that forced them) on failure — see
     /// [`crate::check::evidence`].
     ///
-    /// The boolean verdict still comes from the memoised fast path (this
-    /// call counts as a regular [`check`](ConsistencyChecker::check) in
-    /// [`stats`](ConsistencyChecker::stats)); the evidence is then
-    /// reconstructed on demand over fresh, engine-independent indexes, so
-    /// the 16-byte memo slots and the incremental state stay exactly as a
-    /// boolean check would leave them.
-    fn check_witnessed(&mut self, h: &History) -> Verdict {
-        let consistent = self.check(h);
-        evidence::reconstruct(h, &self.spec(), consistent)
-    }
+    /// The call is one decision with evidence attached: it counts as one
+    /// [`check`](ConsistencyChecker::check) in
+    /// [`stats`](ConsistencyChecker::stats), the witness is the commit
+    /// order the deciding search itself found, and the verdict is memoised
+    /// like a boolean one. The memo slots never hold evidence: a memoised
+    /// rejection goes straight to the violation core, a memoised
+    /// acceptance still searches for its order.
+    fn check_witnessed(&mut self, h: &History) -> Verdict;
 
     /// Attaches a cross-worker [`SharedMemo`]: the engine consults it
     /// before its private memo and publishes every fresh verdict to it,
@@ -374,9 +373,6 @@ pub struct MixedEngine {
     spec_hash: u64,
     memo: Memo,
     decider: mixed::Decider,
-    /// Same-generation verdict cache `(uid, generation, verdict)`, serving
-    /// re-checks whose memo entry was evicted without re-deciding.
-    last: Option<(u64, u64, bool)>,
     nanos: u64,
 }
 
@@ -389,7 +385,6 @@ impl MixedEngine {
             decider: mixed::Decider::new(spec.clone()),
             spec,
             memo: Memo::new(memoize),
-            last: None,
             nanos: 0,
         }
     }
@@ -413,20 +408,41 @@ impl ConsistencyChecker for MixedEngine {
                 // Only misses are timed: a hit is a single table probe,
                 // and an `Instant` pair per hit would dominate it.
                 let start = Instant::now();
-                let v = match self.last {
-                    // Unchanged since the previous decision (memo entry
-                    // evicted): reuse the verdict without re-deciding.
-                    Some((uid, gen, v)) if uid == h.uid() && gen == h.generation() => v,
-                    _ => {
-                        let v = self.decider.decide(h);
-                        self.last = Some((h.uid(), h.generation(), v));
-                        v
-                    }
-                };
+                let v = self.decider.decide(h);
                 self.memo.insert(key, v);
                 self.nanos += start.elapsed().as_nanos() as u64;
                 v
             }
+        }
+    }
+
+    fn check_witnessed(&mut self, h: &History) -> Verdict {
+        let order = if self.decider.is_trivial() {
+            self.memo.stats.checks += 1;
+            self.decider.witness(h)
+        } else {
+            let lh = h.live_hash();
+            match self.memo.lookup((lh.0 ^ self.spec_hash, lh.1)) {
+                // A memoised rejection needs no search, only its core.
+                Ok(false) => None,
+                // A memoised acceptance still needs its commit order.
+                looked_up => {
+                    let start = Instant::now();
+                    let order = self.decider.witness(h);
+                    if let Err(key) = looked_up {
+                        self.memo.insert(key, order.is_some());
+                    }
+                    self.nanos += start.elapsed().as_nanos() as u64;
+                    order
+                }
+            }
+        };
+        match order {
+            Some(commit_order) => Verdict::Consistent(Witness { commit_order }),
+            None => Verdict::Inconsistent(
+                evidence::violation_core(h, &self.spec)
+                    .expect("the engine rejected a history the saturation finds no core for"),
+            ),
         }
     }
 
@@ -455,7 +471,6 @@ impl ConsistencyChecker for MixedEngine {
         d.weak.full_rebuilds = 0;
         d.frontier.incremental_hits = 0;
         d.frontier.full_rebuilds = 0;
-        self.last = None;
         self.nanos = 0;
     }
 }
@@ -696,6 +711,56 @@ mod tests {
         // per-thread deciding time), NOT wall time.
         assert_eq!(total.shared_memo_hits, 7);
         assert_eq!(total.check_nanos, 150);
+    }
+
+    #[test]
+    fn witnessed_checks_decide_once_and_reuse_memoised_rejections() {
+        // A weak, a strong and a mixed spec, memo on and off, each in three
+        // cases: cold, after `check` accepted and after `check` rejected.
+        use crate::testkit::{assert_verdict_valid, random_history};
+        use IsolationLevel::*;
+        let specs = [
+            LevelSpec::uniform(CausalConsistency),
+            LevelSpec::uniform(Serializability),
+            LevelSpec::uniform(CausalConsistency)
+                .with_override(0, 0, Serializability)
+                .with_override(1, 0, SnapshotIsolation),
+        ];
+        for spec in &specs {
+            for memoize in [true, false] {
+                let mut after = [0u32; 2];
+                for seed in 0..200u64 {
+                    let h = random_history(seed, 3, 2, 2);
+                    let expected = crate::axioms::oracle_satisfies_spec(&h, spec);
+                    let ctx = format!("spec {spec} (memo {memoize}) on seed {seed}");
+
+                    let mut cold = engine_for_spec_with(spec, memoize);
+                    let verdict = cold.check_witnessed(&h);
+                    assert_verdict_valid(&h, spec, &verdict, expected, &ctx);
+                    let s = cold.stats();
+                    assert_eq!((s.checks, s.memo_misses, s.memo_hits), (1, 1, 0), "{ctx}");
+
+                    let mut warm = engine_for_spec_with(spec, memoize);
+                    assert_eq!(warm.check(&h), expected, "{ctx}");
+                    let before = warm.stats();
+                    let verdict = warm.check_witnessed(&h);
+                    assert_verdict_valid(&h, spec, &verdict, expected, &ctx);
+                    let s = warm.stats();
+                    assert_eq!(s.checks, before.checks + 1, "{ctx}");
+                    // With the memo on, both verdicts are hits: a rejection
+                    // goes straight to its core, an acceptance searches for
+                    // its order without counting a second decision.
+                    let (hits, misses) = if memoize { (1, 0) } else { (0, 1) };
+                    assert_eq!(s.memo_hits, before.memo_hits + hits, "{ctx}");
+                    assert_eq!(s.memo_misses, before.memo_misses + misses, "{ctx}");
+                    after[expected as usize] += 1;
+                }
+                assert!(
+                    after.iter().all(|&n| n > 0),
+                    "spec {spec}: corpus lacks a case ({after:?} rejected/accepted)"
+                );
+            }
+        }
     }
 
     #[test]

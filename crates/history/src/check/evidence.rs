@@ -2,19 +2,19 @@
 //! cores.
 //!
 //! The boolean checkers in [`crate::check`] answer *whether* a history
-//! satisfies a spec; this module reconstructs *why*, on demand and off the
-//! memoised hot path (following the witness/error model of dbcop and the
-//! practical-explanations argument of *Making Transaction Isolation
-//! Checking Practical*):
+//! satisfies a spec; a witnessed check also says *why*, following the
+//! witness/error model of dbcop and the practical-explanations argument of
+//! *Making Transaction Isolation Checking Practical*:
 //!
 //! * On success, a [`Witness`]: a total commit order over all transactions
 //!   (init first) that extends `so ∪ wr` and satisfies every reader's
 //!   axioms. It is independently replay-verifiable with
 //!   [`crate::axioms::check_with_order_spec`] — see [`Witness::replays`].
-//!   Witness orders are extracted from the same machinery as the boolean
-//!   verdicts: the Kahn order of `so ∪ wr ∪ forced` for specs without
-//!   PC/SI/SER (`WeakIndex::witness_order`), and an order-recording run of
-//!   the commit-order search otherwise (see [`crate::check::mixed`]).
+//!   The order is the one the deciding pass itself found: the Kahn order of
+//!   `so ∪ wr ∪ forced` for specs without PC/SI/SER, and the order the
+//!   commit-order search committed otherwise (see [`crate::check::mixed`]).
+//!   [`MixedEngine::check_witnessed`](crate::check::MixedEngine) runs that
+//!   pass once, on its own synced indexes.
 //! * On failure, a [`Violation`]: a cycle of `so`/`wr`/forced-`co` edges,
 //!   each forced edge annotated with the [`AxiomInstance`] that forced it.
 //!   The cycle is *simple* (every vertex is entered and left exactly once),
@@ -23,32 +23,41 @@
 //! Violation cores are found by **saturation**: starting from the
 //! `so ∪ wr` edges, commit-order edges that must hold in *every* total
 //! commit order are derived from the axiom instances until either the edge
-//! set becomes cyclic (the core) or a fixpoint is reached. For the weak
-//! levels this is exactly the forced-edge computation of the checker
-//! (`WeakIndex`) and therefore complete. For SER/SI/PC the premises mention
-//! `co`, so two sound derivation rules are used per instance
-//! `⟨t1, α⟩ ∈ wr_x ∧ t2 writes x ∧ φ(t2, α) ⇒ ⟨t2, t1⟩ ∈ co`:
+//! set becomes cyclic (the core) or a fixpoint is reached. Two sound rules
+//! are used per instance `⟨t1, α⟩ ∈ wr_x ∧ t2 writes x ∧ φ(t2, α) ⇒
+//! ⟨t2, t1⟩ ∈ co`:
 //!
-//! * **direct**: if `φ(t2, α)` already holds under the derived partial
-//!   order, force `t2 < t1`;
+//! * **direct**: if `φ(t2, α)` holds in the derived partial order, force
+//!   `t2 < t1`. The premise is evaluated by the oracle's own
+//!   [`premise_holds`](crate::axioms) with the derived closure as `co`:
+//!   every premise is a positive existential over `co` facts, so holding in
+//!   the partial order is the same as holding in every total extension;
 //! * **contrapositive**: if `t1 < t2` is already derived, then `¬φ(t2, α)`
 //!   must hold, and by totality of the commit order the negated premise
 //!   forces edges of its own (e.g. for Serializability, the reader `t3`
 //!   must precede `t2` — the classical anti-dependency edge).
 //!
+//! For weak readers (RC/RA/CC) the premises never mention `co`, so the
+//! first pass of the direct rule derives exactly the forced edges of the
+//! checker's `WeakIndex` (a test pins the two sets equal). The two paths
+//! stay separate on purpose: `WeakIndex` is the incrementally synced hot
+//! path of every check, while the saturation runs once per rejected
+//! witnessed verdict, over transaction ids, and adds the co-dependent
+//! contrapositive rules the strong levels need.
+//!
 //! In the rare case where the saturation fixpoint is still acyclic although
-//! the history is inconsistent, the reconstruction case-splits on an
+//! the history is inconsistent, the saturation case-splits on an
 //! unordered transaction pair ([`EdgeReason::Hypothesis`]); every
 //! randomised corpus in the test suite is covered without hypotheses.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::axioms::{axioms_for, check_with_order_spec, Axiom};
-use crate::check::mixed;
+use crate::axioms::{all_txs, axioms_for, check_with_order_spec, premise_holds, Axiom};
 use crate::event::EventId;
 use crate::history::History;
 use crate::isolation::{IsolationLevel, LevelSpec};
+use crate::relations::BitMatrix;
 use crate::transaction::TxId;
 use crate::value::Var;
 
@@ -165,7 +174,7 @@ pub enum EdgeReason {
     /// The edge is forced by an axiom instance of the spec.
     Forced(AxiomInstance),
     /// Case-split assumption: the saturation fixpoint was acyclic, the
-    /// reconstruction branched on an unordered pair, and *every*
+    /// saturation branched on an unordered pair, and *every*
     /// orientation leads to a cycle; this edge is the orientation of the
     /// displayed branch. Does not occur on the test corpora.
     Hypothesis,
@@ -226,36 +235,11 @@ fn fmt_tx(f: &mut fmt::Formatter<'_>, t: TxId) -> fmt::Result {
     }
 }
 
-/// Reconstructs the evidence for a verdict the boolean fast path already
-/// decided. Called by
-/// [`ConsistencyChecker::check_witnessed`](crate::check::ConsistencyChecker::check_witnessed);
-/// builds fresh (non-memoised) indexes, so it never touches engine memo
-/// slots.
-pub(crate) fn reconstruct(h: &History, spec: &LevelSpec, consistent: bool) -> Verdict {
-    if consistent {
-        match mixed::witness_spec(h, spec) {
-            Some(order) => Verdict::Consistent(Witness {
-                commit_order: order,
-            }),
-            None => Verdict::Inconsistent(
-                violation_core(h, spec)
-                    .expect("fast path said consistent but no witness or core exists"),
-            ),
-        }
-    } else {
-        match violation_core(h, spec) {
-            Some(core) => Verdict::Inconsistent(core),
-            None => Verdict::Consistent(Witness {
-                commit_order: mixed::witness_spec(h, spec)
-                    .expect("fast path said inconsistent but no core or witness exists"),
-            }),
-        }
-    }
-}
-
 /// A minimal violation core, or `None` when `h` actually satisfies `spec`
-/// (every saturation branch reaches a consistent total order).
-fn violation_core(h: &History, spec: &LevelSpec) -> Option<Violation> {
+/// (every saturation branch reaches a consistent total order). Called by
+/// [`MixedEngine::check_witnessed`](crate::check::MixedEngine) once its
+/// search (or its memo) has rejected `h`.
+pub(crate) fn violation_core(h: &History, spec: &LevelSpec) -> Option<Violation> {
     if spec.as_uniform() == Some(IsolationLevel::Trivial) {
         // The trivial level rejects nothing: no core can exist.
         return None;
@@ -265,7 +249,8 @@ fn violation_core(h: &History, spec: &LevelSpec) -> Option<Violation> {
 }
 
 /// The saturation state: the transactions of the history, the annotated
-/// derived edge set, and its transitive closure.
+/// derived edge set, and its transitive closure. Cloned at a case split.
+#[derive(Clone)]
 struct Saturation<'h> {
     h: &'h History,
     /// All transactions, init first.
@@ -278,15 +263,15 @@ struct Saturation<'h> {
     /// Annotated adjacency: `edges[a]` lists `(b, reason)` with the first
     /// derivation of each edge kept.
     edges: Vec<Vec<(usize, EdgeReason)>>,
-    /// Edge-presence matrix (row-major `a * n + b`).
-    present: Vec<bool>,
+    /// Edge membership of `edges`.
+    present: BitMatrix,
     /// Transitive closure of `present` (paths of length ≥ 1).
-    closure: Vec<bool>,
+    closure: BitMatrix,
 }
 
 impl<'h> Saturation<'h> {
     fn new(h: &'h History, spec: &'h LevelSpec) -> Self {
-        let txs: Vec<TxId> = std::iter::once(TxId::INIT).chain(h.tx_ids()).collect();
+        let txs: Vec<TxId> = all_txs(h).collect();
         let index: BTreeMap<TxId, usize> = txs.iter().enumerate().map(|(i, t)| (*t, i)).collect();
         let n = txs.len();
         let mut sat = Saturation {
@@ -295,8 +280,8 @@ impl<'h> Saturation<'h> {
             index,
             reads: Vec::new(),
             edges: vec![Vec::new(); n],
-            present: vec![false; n * n],
-            closure: vec![false; n * n],
+            present: BitMatrix::new(n),
+            closure: BitMatrix::new(n),
         };
         for (t3, alpha, x, t1) in h.reads_from() {
             let axioms = axioms_for(spec.level_of_tx(h, t3));
@@ -328,165 +313,128 @@ impl<'h> Saturation<'h> {
     /// Records `a → b` unless already present. Returns whether it was new.
     fn add_edge(&mut self, a: usize, b: usize, reason: EdgeReason) -> bool {
         debug_assert_ne!(a, b);
-        if self.present[a * self.n() + b] {
+        if self.present.get(a, b) {
             return false;
         }
-        let n = self.n();
-        self.present[a * n + b] = true;
+        self.present.set(a, b);
         self.edges[a].push((b, reason));
         true
     }
 
-    /// Recomputes the transitive closure (Floyd–Warshall; the histories
-    /// the evidence path sees are tiny).
+    /// Recomputes the transitive closure of the derived edges.
     fn close(&mut self) {
-        let n = self.n();
-        self.closure.copy_from_slice(&self.present);
-        for k in 0..n {
-            for a in 0..n {
-                if !self.closure[a * n + k] {
-                    continue;
-                }
-                for b in 0..n {
-                    if self.closure[k * n + b] {
-                        self.closure[a * n + b] = true;
-                    }
-                }
-            }
-        }
+        self.closure.clone_from(&self.present);
+        self.closure.transitive_close();
     }
 
     fn before(&self, a: usize, b: usize) -> bool {
-        self.closure[a * self.n() + b]
+        self.closure.get(a, b)
     }
 
     fn before_eq(&self, a: usize, b: usize) -> bool {
         a == b || self.before(a, b)
     }
 
-    /// Whether `φ_axiom(t2, α)` *necessarily* holds: it is true under
-    /// every total order extending the currently derived partial order.
-    /// Sound but (for the co-dependent premises) not complete.
-    fn premise_necessary(&self, axiom: Axiom, t3: TxId, alpha: EventId, t2: TxId) -> bool {
-        let h = self.h;
-        let (i2, i3) = (self.index[&t2], self.index[&t3]);
-        match axiom {
-            Axiom::ReadCommitted => {
-                let Some(log) = h.get_tx(t3) else {
-                    return false;
-                };
-                log.read_events()
-                    .filter(|c| log.po_before(c.id, alpha))
-                    .any(|c| h.wr_of(c.id) == Some(t2))
-            }
-            Axiom::ReadAtomic => h.so_or_wr(t2, t3),
-            Axiom::Causal => h.causally_before(t2, t3),
-            Axiom::Serializability => self.before(i2, i3),
-            Axiom::Prefix => {
-                (0..self.n()).any(|i4| self.before_eq(i2, i4) && h.so_or_wr(self.txs[i4], t3))
-            }
-            Axiom::Conflict => {
-                let Some(log3) = h.get_tx(t3) else {
-                    return false;
-                };
-                let written: Vec<Var> = log3.visible_writes().keys().copied().collect();
-                if written.is_empty() {
-                    return false;
-                }
-                (0..self.n()).any(|i4| {
-                    self.before_eq(i2, i4)
-                        && self.before(i4, i3)
-                        && written.iter().any(|y| h.writes_var(self.txs[i4], *y))
+    /// Every axiom instance `⟨t1, α⟩ ∈ wr_x ∧ t2 writes x` (`t2 ≠ t1`) of
+    /// every read, with the read event `α`.
+    fn instances(&self) -> impl Iterator<Item = (AxiomInstance, EventId)> + '_ {
+        self.reads
+            .iter()
+            .flat_map(move |&(reader, alpha, var, source, axioms)| {
+                let writers = self
+                    .h
+                    .writers_of(var)
+                    .into_iter()
+                    .filter(move |&t2| t2 != source);
+                writers.flat_map(move |writer| {
+                    axioms.iter().map(move |&axiom| {
+                        let instance = AxiomInstance {
+                            axiom,
+                            reader,
+                            var,
+                            source,
+                            writer,
+                            contrapositive: false,
+                        };
+                        (instance, alpha)
+                    })
                 })
-            }
-        }
+            })
+    }
+
+    /// The direct rule under the current closure: `t2 < t1` for every
+    /// axiom instance whose premise `φ(t2, α)` holds in the derived
+    /// partial order. Edges `skip` accepts are not evaluated (the premise
+    /// is the expensive part).
+    fn direct_edges(&self, skip: impl Fn(usize, usize) -> bool) -> Vec<(usize, usize, EdgeReason)> {
+        let before = |a: TxId, b: TxId| self.before(self.index[&a], self.index[&b]);
+        self.instances()
+            .filter_map(|(i, alpha)| {
+                let (i2, i1) = (self.index[&i.writer], self.index[&i.source]);
+                (!skip(i2, i1) && premise_holds(i.axiom, self.h, before, i.reader, alpha, i.writer))
+                    .then_some((i2, i1, EdgeReason::Forced(i)))
+            })
+            .collect()
     }
 
     /// One saturation pass: derives every new edge the direct and
     /// contrapositive rules justify under the current closure. Returns
     /// whether anything was added.
     fn saturate_pass(&mut self) -> bool {
-        let mut added = false;
-        let mut pending: Vec<(usize, usize, EdgeReason)> = Vec::new();
-        for k in 0..self.reads.len() {
-            let (t3, alpha, x, t1, axioms) = self.reads[k];
-            let (i1, i3) = (self.index[&t1], self.index[&t3]);
-            for t2 in self.h.writers_of(x) {
-                if t2 == t1 {
-                    continue;
-                }
-                let i2 = self.index[&t2];
-                for &axiom in axioms {
-                    let instance = |contrapositive: bool| {
-                        EdgeReason::Forced(AxiomInstance {
-                            axiom,
-                            reader: t3,
-                            var: x,
-                            source: t1,
-                            writer: t2,
-                            contrapositive,
-                        })
-                    };
-                    // Direct: premise necessarily holds ⇒ t2 < t1.
-                    if i2 != i1
-                        && !self.present[i2 * self.n() + i1]
-                        && self.premise_necessary(axiom, t3, alpha, t2)
-                    {
-                        pending.push((i2, i1, instance(false)));
+        let mut pending = self.direct_edges(|a, b| self.present.get(a, b));
+        // Contrapositive: t1 < t2 derived ⇒ ¬φ(t2, α), and by totality
+        // the negated premise forces edges. Weak premises never mention
+        // co, so for them the direct rule is already exact.
+        for (mut i, _) in self.instances() {
+            let (i1, i2, i3) = (
+                self.index[&i.source],
+                self.index[&i.writer],
+                self.index[&i.reader],
+            );
+            if !self.before(i1, i2) {
+                continue;
+            }
+            i.contrapositive = true;
+            let t3 = i.reader;
+            let mut force =
+                |a: usize, b: usize| pending.push((a, b, EdgeReason::Forced(i.clone())));
+            match i.axiom {
+                // ¬(t2 < t3) ⇒ t3 < t2 (anti-dependency).
+                Axiom::Serializability if i3 != i2 && !self.present.get(i3, i2) => force(i3, i2),
+                Axiom::Prefix => {
+                    // ∀t4 with ⟨t4,t3⟩ ∈ so ∪ wr: ¬(t2 ≤ t4) ⇒ t4 < t2.
+                    for i4 in 0..self.n() {
+                        if i4 != i2
+                            && !self.present.get(i4, i2)
+                            && self.h.so_or_wr(self.txs[i4], t3)
+                        {
+                            force(i4, i2);
+                        }
                     }
-                    // Contrapositive: t1 < t2 derived ⇒ ¬φ(t2, α), and by
-                    // totality the negated premise forces edges.
-                    if !self.before(i1, i2) {
+                }
+                Axiom::Conflict => {
+                    // ∀t4 writing a common variable with t3:
+                    // t2 ≤ t4 ⇒ ¬(t4 < t3) ⇒ t3 < t4.
+                    let Some(log3) = self.h.get_tx(t3) else {
                         continue;
-                    }
-                    match axiom {
-                        // ¬(t2 < t3) ⇒ t3 < t2 (anti-dependency).
-                        Axiom::Serializability if i3 != i2 && !self.present[i3 * self.n() + i2] => {
-                            pending.push((i3, i2, instance(true)));
+                    };
+                    let written: Vec<Var> = log3.visible_writes().keys().copied().collect();
+                    for i4 in 0..self.n() {
+                        if i4 != i3
+                            && self.before_eq(i2, i4)
+                            && !self.present.get(i3, i4)
+                            && written.iter().any(|y| self.h.writes_var(self.txs[i4], *y))
+                        {
+                            force(i3, i4);
                         }
-                        Axiom::Serializability => {}
-                        Axiom::Prefix => {
-                            // ∀t4 with ⟨t4,t3⟩ ∈ so ∪ wr: ¬(t2 ≤ t4)
-                            // ⇒ t4 < t2.
-                            for i4 in 0..self.n() {
-                                if i4 != i2
-                                    && !self.present[i4 * self.n() + i2]
-                                    && self.h.so_or_wr(self.txs[i4], t3)
-                                {
-                                    pending.push((i4, i2, instance(true)));
-                                }
-                            }
-                        }
-                        Axiom::Conflict => {
-                            // ∀t4 writing a common variable with t3:
-                            // t2 ≤ t4 ⇒ ¬(t4 < t3) ⇒ t3 < t4.
-                            let Some(log3) = self.h.get_tx(t3) else {
-                                continue;
-                            };
-                            let written: Vec<Var> = log3.visible_writes().keys().copied().collect();
-                            for i4 in 0..self.n() {
-                                if i4 == i3
-                                    || !self.before_eq(i2, i4)
-                                    || self.present[i3 * self.n() + i4]
-                                {
-                                    continue;
-                                }
-                                if written.iter().any(|y| self.h.writes_var(self.txs[i4], *y)) {
-                                    pending.push((i3, i4, instance(true)));
-                                }
-                            }
-                        }
-                        // Weak premises never mention co: the direct rule
-                        // is already exact.
-                        _ => {}
                     }
                 }
+                _ => {}
             }
         }
+        let mut added = false;
         for (a, b, reason) in pending {
-            if self.add_edge(a, b, reason) {
-                added = true;
-            }
+            added |= self.add_edge(a, b, reason);
         }
         if added {
             self.close();
@@ -497,73 +445,55 @@ impl<'h> Saturation<'h> {
     /// Shortest simple cycle in the annotated edge set, if any.
     fn shortest_cycle(&self) -> Option<Vec<ViolationEdge>> {
         let n = self.n();
-        let mut best: Option<Vec<usize>> = None; // vertex sequence v0..vk, v0 = vk target
-        for v in 0..n {
-            if !self.before(v, v) {
-                continue;
-            }
-            // BFS from v back to v over the annotated edges.
-            let mut parent: Vec<Option<usize>> = vec![None; n];
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(v);
-            let mut found = false;
+        let mut best: Option<Vec<ViolationEdge>> = None;
+        for v in (0..n).filter(|&v| self.before(v, v)) {
+            // BFS from v back to v over the annotated edges; `parent[b]`
+            // is the first edge `(a, k) = edges[a][k]` reaching `b`.
+            let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
+            let mut queue = VecDeque::from([v]);
             'bfs: while let Some(a) = queue.pop_front() {
-                for &(b, _) in &self.edges[a] {
-                    if b == v {
-                        parent[v] = Some(a);
-                        found = true;
-                        break 'bfs;
-                    }
-                    if parent[b].is_none() && b != v {
-                        parent[b] = Some(a);
+                for (k, &(b, _)) in self.edges[a].iter().enumerate() {
+                    if parent[b].is_none() {
+                        parent[b] = Some((a, k));
+                        if b == v {
+                            break 'bfs;
+                        }
                         queue.push_back(b);
                     }
                 }
             }
-            if !found {
-                continue;
+            let mut cycle = Vec::new();
+            let mut b = v;
+            while let Some((a, k)) = parent[b] {
+                cycle.push(ViolationEdge {
+                    from: self.txs[a],
+                    to: self.txs[b],
+                    reason: self.edges[a][k].1.clone(),
+                });
+                if a == v {
+                    break;
+                }
+                b = a;
             }
-            let mut path = vec![v];
-            let mut cur = parent[v].unwrap();
-            while cur != v {
-                path.push(cur);
-                cur = parent[cur].unwrap();
-            }
-            path.push(v);
-            path.reverse(); // v, ..., v
-            if best.as_ref().map_or(true, |b| path.len() < b.len()) {
-                best = Some(path);
+            cycle.reverse();
+            if best.as_ref().map_or(true, |c| cycle.len() < c.len()) {
+                best = Some(cycle);
             }
         }
-        let path = best?;
-        let mut cycle = Vec::with_capacity(path.len() - 1);
-        for w in path.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let reason = self.edges[a]
-                .iter()
-                .find(|(to, _)| *to == b)
-                .map(|(_, r)| r.clone())
-                .expect("cycle edge must be annotated");
-            cycle.push(ViolationEdge {
-                from: self.txs[a],
-                to: self.txs[b],
-                reason,
-            });
-        }
-        Some(cycle)
+        best
     }
 
     /// Saturates to fixpoint; on an acyclic fixpoint, case-splits on the
     /// first unordered pair. Returns a cycle iff every completion of the
     /// derived partial order violates some axiom instance.
     fn find_cycle(&mut self) -> Option<Vec<ViolationEdge>> {
-        while self.saturate_pass() {
+        loop {
             if let Some(cycle) = self.shortest_cycle() {
                 return Some(cycle);
             }
-        }
-        if let Some(cycle) = self.shortest_cycle() {
-            return Some(cycle);
+            if !self.saturate_pass() {
+                break;
+            }
         }
         // Acyclic fixpoint: the derived order may still have no consistent
         // completion. Branch on the first unordered pair; the history is
@@ -574,11 +504,11 @@ impl<'h> Saturation<'h> {
                 if self.before(a, b) || self.before(b, a) {
                     continue;
                 }
-                let mut forward = self.fork();
+                let mut forward = self.clone();
                 forward.add_edge(a, b, EdgeReason::Hypothesis);
                 forward.close();
                 let fwd = forward.find_cycle()?;
-                let mut backward = self.fork();
+                let mut backward = self.clone();
                 backward.add_edge(b, a, EdgeReason::Hypothesis);
                 backward.close();
                 let bwd = backward.find_cycle()?;
@@ -589,25 +519,17 @@ impl<'h> Saturation<'h> {
         // every axiom instance, so the history is consistent.
         None
     }
-
-    /// A clone of the saturation state for a case-split branch.
-    fn fork(&self) -> Saturation<'h> {
-        Saturation {
-            h: self.h,
-            txs: self.txs.clone(),
-            index: self.index.clone(),
-            reads: self.reads.clone(),
-            edges: self.edges.clone(),
-            present: self.present.clone(),
-            closure: self.closure.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::check::engine_for_spec;
+    use crate::check::weak::WeakIndex;
     use crate::event::{Event, EventKind};
+    use crate::testkit::{random_history, random_spec};
     use crate::transaction::SessionId;
     use crate::value::Value;
 
@@ -752,9 +674,47 @@ mod tests {
             IsolationLevel::PrefixConsistency,
         ] {
             let spec = LevelSpec::uniform(level);
-            let v = reconstruct(&h, &spec, true);
+            let v = engine_for_spec(&spec).check_witnessed(&h);
             let w = v.witness().expect("lost update is consistent here");
             assert!(w.replays(&h, &spec), "{level}: {w}");
         }
+    }
+
+    #[test]
+    fn first_pass_direct_edges_of_weak_readers_are_the_weak_index_forced_edges() {
+        // The saturation and `WeakIndex` derive the weak readers' forced
+        // edges independently; on the first pass (closure = so ∪ wr) the
+        // direct rule must produce exactly the index's set.
+        let weak = [Axiom::ReadCommitted, Axiom::ReadAtomic, Axiom::Causal];
+        let mut compared = 0;
+        for seed in 0..300u64 {
+            let h = random_history(seed, 3, 2, 2);
+            let spec = random_spec(seed, &h);
+            if ![
+                IsolationLevel::ReadCommitted,
+                IsolationLevel::ReadAtomic,
+                IsolationLevel::CausalConsistency,
+            ]
+            .into_iter()
+            .any(|l| spec.mentions(l))
+            {
+                continue;
+            }
+            let sat = Saturation::new(&h, &spec);
+            let direct: BTreeSet<(TxId, TxId)> = sat
+                .direct_edges(|_, _| false)
+                .into_iter()
+                .filter(|(_, _, r)| matches!(r, EdgeReason::Forced(i) if weak.contains(&i.axiom)))
+                .map(|(a, b, _)| (sat.txs[a], sat.txs[b]))
+                .collect();
+            let mut index = WeakIndex::new(spec.clone());
+            index.sync(&h);
+            let mut forced = Vec::new();
+            index.collect_forced_tx(&mut forced);
+            let forced: BTreeSet<(TxId, TxId)> = forced.into_iter().collect();
+            assert_eq!(direct, forced, "spec {spec} on seed {seed}:\n{h}");
+            compared += !forced.is_empty() as u32;
+        }
+        assert!(compared > 50, "only {compared} histories forced an edge");
     }
 }

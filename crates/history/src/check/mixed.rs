@@ -50,14 +50,6 @@ pub fn satisfies_spec(h: &History, spec: &LevelSpec) -> bool {
     Decider::new(spec.clone()).decide(h)
 }
 
-/// Like [`satisfies_spec`], additionally returning the commit order (init
-/// first) that witnesses consistency, for evidence reconstruction. Builds
-/// fresh indexes: this is the cold evidence path, not the memoised engine
-/// path.
-pub(crate) fn witness_spec(h: &History, spec: &LevelSpec) -> Option<Vec<TxId>> {
-    Decider::new(spec.clone()).witness(h)
-}
-
 /// The incrementally synced indexes and search buffers that decide one
 /// level spec, owned by the engine so repeated checks allocate nothing.
 #[derive(Debug)]

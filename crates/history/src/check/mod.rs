@@ -19,8 +19,9 @@
 //!   characterisation of the Prefix axiom), and SI adds the write-conflict
 //!   rule of the Conflict axiom. The forced edges of weak readers become
 //!   commit prerequisites of the search.
-//! * On demand, [`evidence`] turns a verdict into a replayable witness
-//!   commit order or a minimal violation cycle.
+//! * A witnessed check returns the verdict with its [`evidence`]: the
+//!   deciding search's own commit order as a replayable witness, or a
+//!   minimal violation cycle.
 //!
 //! The slow axiom-level oracle in [`crate::axioms`] cross-validates all of
 //! this in the test suite.
